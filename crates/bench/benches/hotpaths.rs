@@ -85,14 +85,26 @@ fn bench_adam_step(c: &mut Criterion) {
 }
 
 /// The execution engine: one region evaluation (the unit of every
-/// experiment, sweep and exhaustive search).
+/// experiment, sweep and exhaustive search), with and without the PMU
+/// counters, on a noiseless node and on a `Node::new` node whose counter
+/// noise the counter-free entry skips rather than draws.
 fn bench_exec_engine(c: &mut Criterion) {
     let engine = ExecutionEngine::new();
-    let node = Node::exact(0);
+    let exact = Node::exact(0);
+    let noisy = Node::new(0, 7);
     let region = RegionCharacter::builder(2e10).dram_bytes(1.5e10).build();
     let cfg = SystemConfig::taurus_default();
     c.bench_function("exec/run_region", |b| {
-        b.iter(|| black_box(engine.run_region(black_box(&region), &cfg, &node)))
+        b.iter(|| black_box(engine.run_region(black_box(&region), &cfg, &exact)))
+    });
+    c.bench_function("exec/run_region_noisy", |b| {
+        b.iter(|| black_box(engine.run_region(black_box(&region), &cfg, &noisy)))
+    });
+    c.bench_function("exec/region_cost", |b| {
+        b.iter(|| black_box(engine.region_cost(black_box(&region), &cfg, &exact)))
+    });
+    c.bench_function("exec/region_cost_noisy", |b| {
+        b.iter(|| black_box(engine.region_cost(black_box(&region), &cfg, &noisy)))
     });
 }
 
@@ -175,13 +187,15 @@ fn bench_experiment_cache(c: &mut Criterion) {
 /// The runtime serving hot path: one `region_enter`/`region_exit` event
 /// pair (scenario lookup + PCP config switch + region execution +
 /// accounting) on a model whose scenarios alternate configurations, so
-/// every enter actually switches; plus one repository serve (fingerprint
-/// + stored-JSON parse).
+/// every enter actually switches, on a noiseless node and on a noisy
+/// `Node::new` node (what `Cluster::new` fleets carry); plus one
+/// repository serve (fingerprint + stored-JSON parse).
 fn bench_runtime_session(c: &mut Criterion) {
     use ptf::TuningModel;
     use rrl::{ModelSource, RuntimeSession, ServedModel, TuningModelRepository};
 
-    let node = Node::exact(0);
+    let exact = Node::exact(0);
+    let noisy = Node::new(0, 7);
     let bench = kernels::benchmark("Lulesh").unwrap();
     let tm = TuningModel::new(
         "Lulesh",
@@ -199,26 +213,31 @@ fn bench_runtime_session(c: &mut Criterion) {
     );
     let mut group = c.benchmark_group("rrl/runtime");
 
-    group.bench_function("region_enter_exit", |b| {
-        let served = ServedModel {
-            model: tm.clone(),
-            source: ModelSource::Repository,
-            provenance: None,
-        };
-        let mut session = RuntimeSession::start("hotpath", &bench, &node, served).unwrap();
-        let names: Vec<String> = bench.regions.iter().map(|r| r.name.clone()).collect();
-        let mut i = 0usize;
-        b.iter(|| {
-            let name = &names[i % names.len()];
-            i += 1;
-            session.region_enter(name).unwrap();
-            let exit = session.region_exit(name).unwrap();
-            if i.is_multiple_of(names.len()) {
-                session.phase_complete().unwrap();
-            }
-            black_box(exit)
-        })
-    });
+    for (id, node) in [
+        ("region_enter_exit", &exact),
+        ("region_enter_exit_noisy", &noisy),
+    ] {
+        group.bench_function(id, |b| {
+            let served = ServedModel {
+                model: tm.clone(),
+                source: ModelSource::Repository,
+                provenance: None,
+            };
+            let mut session = RuntimeSession::start("hotpath", &bench, node, served).unwrap();
+            let names: Vec<String> = bench.regions.iter().map(|r| r.name.clone()).collect();
+            let mut i = 0usize;
+            b.iter(|| {
+                let name = &names[i % names.len()];
+                i += 1;
+                session.region_enter(name).unwrap();
+                let exit = session.region_exit(name).unwrap();
+                if i.is_multiple_of(names.len()) {
+                    session.phase_complete().unwrap();
+                }
+                black_box(exit)
+            })
+        });
+    }
 
     group.bench_function("repository_serve", |b| {
         let mut repo = TuningModelRepository::new();

@@ -31,7 +31,7 @@ pub fn search_all_regions(
             let mut best_cfg = configs[0];
             let mut best_score = f64::INFINITY;
             for cfg in &configs {
-                let run = engine.run_region(&region.character, cfg, node);
+                let run = engine.region_cost(&region.character, cfg, node);
                 let s = objective.score(run.node_energy_j, run.duration_s);
                 if s < best_score {
                     best_score = s;
@@ -56,7 +56,7 @@ pub fn search_static(
         .configs()
         .par_iter()
         .map(|cfg| {
-            let run = engine.run_region(&phase, cfg, node);
+            let run = engine.region_cost(&phase, cfg, node);
             (*cfg, objective.score(run.node_energy_j, run.duration_s))
         })
         .min_by(|a, b| a.1.total_cmp(&b.1))

@@ -109,7 +109,7 @@ impl<'a> ExperimentsEngine<'a> {
         }
         *ran = true;
         self.region_runs += 1;
-        let run = self.engine.run_region(c, cfg, self.node);
+        let run = self.engine.region_cost(c, cfg, self.node);
         let m = Measurement {
             node_energy_j: run.node_energy_j,
             cpu_energy_j: run.cpu_energy_j,

@@ -95,11 +95,11 @@ pub fn build_dataset(
             for &t in thread_candidates {
                 let calib = SystemConfig::calibration().with_threads(t);
                 let rates = phase_counter_rates(bench, node, calib);
-                let e_calib = engine.run_region(&phase, &calib, node).node_energy_j;
+                let e_calib = engine.region_cost(&phase, &calib, node).node_energy_j;
                 for &cf in core_mhz {
                     for &ucf in uncore_mhz {
                         let cfg = SystemConfig::new(t, cf, ucf);
-                        let e = engine.run_region(&phase, &cfg, node).node_energy_j;
+                        let e = engine.region_cost(&phase, &cfg, node).node_energy_j;
                         local.push((
                             features_from_rates(&rates, cf, ucf).to_vec(),
                             e / e_calib,

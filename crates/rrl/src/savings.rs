@@ -133,7 +133,7 @@ fn config_setting_time_s(bench: &BenchmarkSpec, node: &Node, tm: &TuningModel) -
     let mut total = 0.0;
     for region in &bench.regions {
         let cfg = tm.lookup(&region.name);
-        let run = engine.run_region(&region.character, &cfg, node);
+        let run = engine.region_cost(&region.character, &cfg, node);
         total += run.duration_s;
     }
     total * bench.phase_iterations as f64

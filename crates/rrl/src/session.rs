@@ -65,7 +65,6 @@ pub struct RegionExit {
 }
 
 struct OpenRegion {
-    name: String,
     /// Index into `bench.regions`, resolved and validated at enter time.
     idx: usize,
     filtered: bool,
@@ -264,11 +263,7 @@ impl<'a> RuntimeSession<'a> {
             self.switch_to(desired);
             desired
         };
-        self.open = Some(OpenRegion {
-            name: region.to_string(),
-            idx,
-            filtered,
-        });
+        self.open = Some(OpenRegion { idx, filtered });
         Ok(config)
     }
 
@@ -297,11 +292,7 @@ impl<'a> RuntimeSession<'a> {
             self.switch_to(config);
             config
         };
-        self.open = Some(OpenRegion {
-            name: region.to_string(),
-            idx,
-            filtered,
-        });
+        self.open = Some(OpenRegion { idx, filtered });
         Ok(applied)
     }
 
@@ -311,7 +302,7 @@ impl<'a> RuntimeSession<'a> {
     fn resolve_enter(&self, region: &str) -> Result<(usize, bool), RuntimeError> {
         if let Some(open) = &self.open {
             return Err(RuntimeError::RegionStillOpen {
-                open: open.name.clone(),
+                open: self.region_name(open).to_string(),
                 event: format!("region_enter(`{region}`)"),
             });
         }
@@ -322,6 +313,11 @@ impl<'a> RuntimeSession<'a> {
             });
         };
         Ok((idx, self.inst.is_filtered(region)))
+    }
+
+    /// Name of the open region.
+    fn region_name(&self, open: &OpenRegion) -> &'a str {
+        &self.bench.regions[open.idx].name
     }
 
     /// Drive the node to `desired` through the PCPs, charging the
@@ -347,20 +343,23 @@ impl<'a> RuntimeSession<'a> {
         let open = self.open.take().ok_or_else(|| RuntimeError::NoOpenRegion {
             requested: region.to_string(),
         })?;
-        if open.name != region {
+        // Resolved and validated by `region_enter`.
+        let spec = &self.bench.regions[open.idx];
+        if spec.name != region {
             let err = RuntimeError::RegionMismatch {
-                open: open.name.clone(),
+                open: spec.name.clone(),
                 requested: region.to_string(),
             };
             self.open = Some(open);
             return Err(err);
         }
-        // Resolved and validated by `region_enter`.
-        let spec = &self.bench.regions[open.idx];
         let config = self.pcps.current();
+        // Served jobs read no counters: the counter-free entry charges the
+        // same time and energy and leaves the node's noise stream where
+        // `run_region` would.
         let run = self
             .engine
-            .run_region(&spec.character_at(self.phase_iter), &config, self.node);
+            .region_cost(&spec.character_at(self.phase_iter), &config, self.node);
 
         let (duration, node_j, cpu_j, overhead) = if open.filtered {
             (run.duration_s, run.node_energy_j, run.cpu_energy_j, 0.0)
@@ -396,7 +395,7 @@ impl<'a> RuntimeSession<'a> {
     pub fn phase_complete(&mut self) -> Result<u32, RuntimeError> {
         if let Some(open) = &self.open {
             return Err(RuntimeError::RegionStillOpen {
-                open: open.name.clone(),
+                open: self.region_name(open).to_string(),
                 event: "phase_complete".to_string(),
             });
         }
@@ -427,7 +426,7 @@ impl<'a> RuntimeSession<'a> {
     pub fn finish(self) -> Result<JobAccounting, RuntimeError> {
         if let Some(open) = &self.open {
             return Err(RuntimeError::RegionStillOpen {
-                open: open.name.clone(),
+                open: self.region_name(open).to_string(),
                 event: "finish".to_string(),
             });
         }

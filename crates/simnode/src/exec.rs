@@ -1,6 +1,12 @@
 //! The execution engine: (workload, configuration, node) → time, counters,
 //! power, energy.
 //!
+//! [`ExecutionEngine::run_region`] returns all of them;
+//! [`ExecutionEngine::region_cost`] returns time, power and energy only,
+//! for callers that never read the counters. Both share one timing and
+//! power implementation and advance the node's counter-noise stream
+//! identically.
+//!
 //! Timing follows a roofline-with-overlap model, the analytic core of the
 //! simulator:
 //!
@@ -24,7 +30,7 @@ use serde::{Deserialize, Serialize};
 use crate::character::RegionCharacter;
 use crate::config::SystemConfig;
 use crate::node::Node;
-use crate::papi::{derive_counters, CounterValues};
+use crate::papi::{derive_counters, skip_counter_noise, CounterValues};
 use crate::power::{ActivityFactors, PowerBreakdown};
 
 /// Nominal (reference-clock) core frequency in MHz, for `PAPI_REF_CYC`.
@@ -136,6 +142,24 @@ impl RegionRun {
     }
 }
 
+/// Time, power and energy of one phase iteration: a [`RegionRun`]
+/// without the PMU counters (see [`ExecutionEngine::region_cost`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RegionCost {
+    /// Wall time of the iteration, seconds.
+    pub duration_s: f64,
+    /// Node energy (HDEEM view: CPU + DRAM + blade), joules.
+    pub node_energy_j: f64,
+    /// CPU energy (RAPL view: core + uncore), joules.
+    pub cpu_energy_j: f64,
+    /// Power decomposition during the iteration.
+    pub power: PowerBreakdown,
+    /// Compute time component (diagnostic), seconds.
+    pub t_comp_s: f64,
+    /// Memory time component (diagnostic), seconds.
+    pub t_mem_s: f64,
+}
+
 /// The engine. Holds memory parameters; topology and power model come from
 /// the [`Node`].
 #[derive(Debug, Clone, Default)]
@@ -191,6 +215,72 @@ impl ExecutionEngine {
     /// Counter noise follows the node's measurement-noise setting; pass the
     /// same node for reproducible sequences.
     pub fn run_region(&self, c: &RegionCharacter, cfg: &SystemConfig, node: &Node) -> RegionRun {
+        let (cost, cfg) = self.cost_core(c, cfg, node);
+        let t = cost.duration_s;
+
+        // Cycle accounting across the active cores.
+        let threads = cfg.threads as f64;
+        let total_cycles = t * cfg.core.hz() * threads;
+        let busy_cycles = c.instr_per_iter / c.ipc_base;
+        let stall_cycles = (total_cycles - busy_cycles).max(0.0);
+        let ref_cycles = t * NOMINAL_CORE_MHZ as f64 * 1e6 * threads;
+
+        let counters = node.with_rng(|rng| {
+            derive_counters(
+                c,
+                total_cycles,
+                stall_cycles,
+                ref_cycles,
+                rng,
+                node.counter_noise_sd(),
+            )
+        });
+
+        let RegionCost {
+            duration_s,
+            node_energy_j,
+            cpu_energy_j,
+            power,
+            t_comp_s,
+            t_mem_s,
+        } = cost;
+        RegionRun {
+            duration_s,
+            node_energy_j,
+            cpu_energy_j,
+            power,
+            counters,
+            t_comp_s,
+            t_mem_s,
+        }
+    }
+
+    /// [`Self::run_region`] without the PMU counters, for callers that
+    /// read only time, power and energy (served jobs, baselines, energy
+    /// sweeps). The result is bit-equal to the corresponding fields of
+    /// `run_region`, and the node's noise stream advances exactly as
+    /// `run_region` would advance it, so a later counter read on the same
+    /// node sees the same noise either way.
+    pub fn region_cost(&self, c: &RegionCharacter, cfg: &SystemConfig, node: &Node) -> RegionCost {
+        let (cost, _) = self.cost_core(c, cfg, node);
+        let noise_sd = node.counter_noise_sd();
+        // A noiseless node draws nothing, so its RNG lock is not taken.
+        if noise_sd > 0.0 {
+            node.with_rng(|rng| skip_counter_noise(rng, noise_sd));
+        }
+        cost
+    }
+
+    /// Timing, activity factors and power of one phase iteration: the one
+    /// implementation behind [`Self::run_region`] and
+    /// [`Self::region_cost`]. Also returns the configuration with its
+    /// thread count clamped to the node's topology.
+    fn cost_core(
+        &self,
+        c: &RegionCharacter,
+        cfg: &SystemConfig,
+        node: &Node,
+    ) -> (RegionCost, SystemConfig) {
         debug_assert!(c.validate().is_ok(), "invalid region character");
         let threads = cfg.threads.clamp(1, node.topology().max_threads());
         let cfg = SystemConfig { threads, ..*cfg };
@@ -215,32 +305,15 @@ impl ExecutionEngine {
         };
         let power = node.power(&cfg, &act);
 
-        // Cycle accounting across the active cores.
-        let total_cycles = t * cfg.core.hz() * threads as f64;
-        let busy_cycles = c.instr_per_iter / c.ipc_base;
-        let stall_cycles = (total_cycles - busy_cycles).max(0.0);
-        let ref_cycles = t * NOMINAL_CORE_MHZ as f64 * 1e6 * threads as f64;
-
-        let counters = node.with_rng(|rng| {
-            derive_counters(
-                c,
-                total_cycles,
-                stall_cycles,
-                ref_cycles,
-                rng,
-                node.counter_noise_sd(),
-            )
-        });
-
-        RegionRun {
+        let cost = RegionCost {
             duration_s: t,
             node_energy_j: power.node_w() * t,
             cpu_energy_j: power.cpu_w() * t,
             power,
-            counters,
             t_comp_s: t_comp,
             t_mem_s: t_mem,
-        }
+        };
+        (cost, cfg)
     }
 }
 
@@ -345,6 +418,39 @@ mod tests {
         assert!((run.node_energy_j - run.power.node_w() * run.duration_s).abs() < 1e-9);
         assert!(run.cpu_energy_j < run.node_energy_j);
         assert!(run.counters.get(crate::papi::PapiCounter::TotIns) > 0.0);
+    }
+
+    #[test]
+    fn region_cost_matches_run_region_and_keeps_the_noise_stream() {
+        let eng = ExecutionEngine::new();
+        let cfgs = [
+            SystemConfig::taurus_default(),
+            SystemConfig::new(12, 1600, 2500),
+            SystemConfig::new(999, 2500, 3000),
+        ];
+        for (counted, uncounted) in [
+            (Node::new(3, 42), Node::new(3, 42)),
+            (Node::exact(0), Node::exact(0)),
+        ] {
+            for c in [compute_bound(), memory_bound()] {
+                for cfg in &cfgs {
+                    let run = eng.run_region(&c, cfg, &counted);
+                    let cost = eng.region_cost(&c, cfg, &uncounted);
+                    assert_eq!(cost.duration_s.to_bits(), run.duration_s.to_bits());
+                    assert_eq!(cost.node_energy_j.to_bits(), run.node_energy_j.to_bits());
+                    assert_eq!(cost.cpu_energy_j.to_bits(), run.cpu_energy_j.to_bits());
+                    assert_eq!(cost.power, run.power);
+                    assert_eq!(cost.t_comp_s.to_bits(), run.t_comp_s.to_bits());
+                    assert_eq!(cost.t_mem_s.to_bits(), run.t_mem_s.to_bits());
+                }
+            }
+            // A counter read that follows (a calibration after served
+            // jobs) sees the same noise on both nodes.
+            let cfg = SystemConfig::calibration();
+            let a = eng.run_region(&memory_bound(), &cfg, &counted).counters;
+            let b = eng.run_region(&memory_bound(), &cfg, &uncounted).counters;
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod volt;
 pub use character::RegionCharacter;
 pub use cluster::Cluster;
 pub use config::SystemConfig;
-pub use exec::{ExecutionEngine, RegionRun};
+pub use exec::{ExecutionEngine, RegionCost, RegionRun};
 pub use freq::{CoreFreq, FreqDomain, UncoreFreq};
 pub use hdeem::HdeemSensor;
 pub use msr::MsrBank;

@@ -14,6 +14,7 @@
 //!   the execution.
 
 use rand::rngs::StdRng;
+use rand::RngCore;
 use rand_distr::{Distribution, Normal};
 use serde::{Deserialize, Serialize};
 
@@ -102,12 +103,10 @@ impl PapiCounter {
         ]
     }
 
-    /// Catalogue index of this preset.
+    /// Catalogue index of this preset (the enum is declared in catalogue
+    /// order).
     pub fn index(self) -> usize {
-        Self::all()
-            .iter()
-            .position(|&c| c == self)
-            .expect("counter in catalogue")
+        self as usize
     }
 
     /// The canonical `PAPI_*` preset name.
@@ -365,6 +364,22 @@ pub fn derive_counters(
     v
 }
 
+/// Advance `rng` exactly as [`derive_counters`] does for the same
+/// `noise_sd`, without computing any counter: per counter, the Box–Muller
+/// draw's `u > 0` rejection loop and its second uniform; nothing when
+/// `noise_sd == 0`. Callers that discard the counters use this to keep a
+/// node's noise stream where `derive_counters` would have left it.
+pub fn skip_counter_noise(rng: &mut StdRng, noise_sd: f64) {
+    if noise_sd > 0.0 {
+        // Same validation (and panic) as `derive_counters`.
+        Normal::new(1.0, noise_sd).expect("valid noise sd");
+        for _ in 0..NUM_COUNTERS {
+            while rng.next_f64() <= 0.0 {}
+            rng.next_f64();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,6 +509,22 @@ mod tests {
             noisy.get(PapiCounter::TotIns),
             exact.get(PapiCounter::TotIns)
         );
+    }
+
+    #[test]
+    fn skip_counter_noise_consumes_what_derive_counters_draws() {
+        let c = character();
+        for noise_sd in [0.0, 0.002, 0.05] {
+            let mut derived = StdRng::seed_from_u64(11);
+            let mut skipped = StdRng::seed_from_u64(11);
+            derive_counters(&c, 5e8, 1e8, 5e8, &mut derived, noise_sd);
+            skip_counter_noise(&mut skipped, noise_sd);
+            assert_eq!(
+                derived.next_u64(),
+                skipped.next_u64(),
+                "streams diverged at noise_sd = {noise_sd}"
+            );
+        }
     }
 
     #[test]
