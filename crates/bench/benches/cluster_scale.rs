@@ -1,18 +1,23 @@
-//! The cluster-scale serving benchmark behind this repo's "as fast as
-//! the hardware allows" north star: one full 1 024-job / 32-node
-//! submission wave through the `ClusterScheduler`, sequential event loop
-//! vs the parallel event loop over the lock-striped `SharedRepository`.
+//! The cluster-scale serving benchmark: one full 1 024-job / 32-node
+//! submission wave through the `ClusterScheduler`, three ways:
 //!
-//! Both paths produce bit-identical per-job accounting (property-tested
-//! in `tests/runtime.rs`); this bench records their throughput. The
-//! parallel figure scales with the host's cores — on a single-core
-//! runner it shows the pure overhead of the worker machinery instead.
+//! * `sequential_1024x32` — the sequential sweep loop (`run`),
+//! * `parallel_1024x32_w1` / `_w2` — the parallel event loop
+//!   (`run_parallel`) over the lock-striped `SharedRepository` at fixed
+//!   worker counts, so the entry names do not depend on the host,
+//! * `service_1024x32` — the discrete-event kernel loop (`run_service`)
+//!   over the same wave with every arrival at t = 0.
+//!
+//! All three produce bit-identical per-job accounting (property-tested
+//! in `tests/runtime.rs` and by testkit's `event_core` invariant); this
+//! bench records their throughput. The `_w2` figure only gains over
+//! `_w1` on a host with at least two cores.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use kernels::{BenchmarkSpec, ProgrammingModel, RegionSpec, Suite};
 use ptf::TuningModel;
-use rrl::{ClusterScheduler, SharedRepository, TuningModelRepository};
+use rrl::{ClusterScheduler, JobArrival, ServiceConfig, SharedRepository, TuningModelRepository};
 use simnode::{Cluster, RegionCharacter, SystemConfig};
 
 const JOBS: usize = 1024;
@@ -59,7 +64,18 @@ fn submit_wave(sched: &mut ClusterScheduler<'_>, benches: &[BenchmarkSpec]) {
     }
 }
 
-/// One full submission wave, sequential vs parallel.
+/// The same wave as a service trace: every job arrives at t = 0.
+fn wave_trace(benches: &[BenchmarkSpec]) -> Vec<JobArrival> {
+    (0..JOBS)
+        .map(|i| JobArrival {
+            name: format!("job-{i:04}"),
+            bench: benches[i % benches.len()].clone(),
+            arrival_s: 0.0,
+        })
+        .collect()
+}
+
+/// One full submission wave: sequential, parallel and kernel loops.
 fn bench_cluster_scale(c: &mut Criterion) {
     let cluster = Cluster::new(NODES, 0x5CA1E);
     let (benches, models) = wave();
@@ -78,16 +94,30 @@ fn bench_cluster_scale(c: &mut Criterion) {
         })
     });
 
-    let workers = std::thread::available_parallelism().map_or(4, |n| n.get());
     let shared = SharedRepository::new(16).with_fallback(SystemConfig::new(24, 2400, 1700));
     for (b, m) in benches.iter().zip(&models) {
         shared.insert(b, m);
     }
-    group.bench_function(format!("parallel_{JOBS}x{NODES}_w{workers}"), |b| {
+    for workers in [1, 2] {
+        group.bench_function(format!("parallel_{JOBS}x{NODES}_w{workers}"), |b| {
+            b.iter(|| {
+                let mut sched = ClusterScheduler::new(&cluster).unwrap();
+                submit_wave(&mut sched, &benches);
+                black_box(sched.run_parallel(&shared, workers).unwrap().aggregate)
+            })
+        });
+    }
+
+    group.bench_function(format!("service_{JOBS}x{NODES}"), |b| {
         b.iter(|| {
             let mut sched = ClusterScheduler::new(&cluster).unwrap();
-            submit_wave(&mut sched, &benches);
-            black_box(sched.run_parallel(&shared, workers).unwrap().aggregate)
+            let trace = wave_trace(&benches);
+            black_box(
+                sched
+                    .run_service(trace, &mut repo, &ServiceConfig::default())
+                    .unwrap()
+                    .aggregate,
+            )
         })
     });
     group.finish();

@@ -85,8 +85,8 @@ fn bench_recorded_dispatch(c: &mut Criterion) {
 }
 
 /// Stored-model serving through the lock-striped repository: the
-/// per-shard counters plus the lock-wait histogram are the recorded
-/// cost, on top of one lock round-trip per serve either way.
+/// per-shard counters are the recorded cost, on top of one lock
+/// round-trip per serve either way.
 fn bench_recorded_serving(c: &mut Criterion) {
     let bench = toy_benchmark("obs", 1e10, 1);
     let cfg = SystemConfig::new(24, 2400, 1900);

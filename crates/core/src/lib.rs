@@ -45,9 +45,7 @@
 //! engine, [`objectives`] the tuning objectives (energy, EDP, ED²P,
 //! TCO), [`scenario`]/[`tuning_model`] the system-scenario grouping and
 //! the serialisable artefact the RRL consumes, [`exhaustive`] the
-//! Section V-C tuning-time cost model, and [`workflow`] the deprecated
-//! one-shot [`DesignTimeAnalysis`] shim kept for [`DtaReport`]
-//! consumers.
+//! Section V-C tuning-time cost model.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -63,7 +61,6 @@ pub mod search;
 pub mod session;
 pub mod threads;
 pub mod tuning_model;
-pub mod workflow;
 
 pub use freqpred::EnergyModel;
 pub use modeldata::{build_dataset, features_from_rates, phase_counter_rates, FEATURE_COUNT};
@@ -72,9 +69,8 @@ pub use plugin::{DvfsUfsPlugin, TuningPlugin};
 pub use scenario::{Scenario, ScenarioClassifier};
 pub use search::SearchSpace;
 pub use session::{
-    Advice, BatchDriver, ExhaustiveSearch, ExperimentCache, ExplorationInputs, ExplorationPlan,
-    ModelBasedNeighbourhood, RandomSearch, SearchStrategy, TuningError, TuningSession,
-    VerificationRule,
+    Advice, BatchDriver, DtaReport, ExhaustiveSearch, ExperimentCache, ExplorationInputs,
+    ExplorationPlan, ModelBasedNeighbourhood, RandomSearch, SearchStrategy, TuningError,
+    TuningSession, VerificationRule,
 };
 pub use tuning_model::TuningModel;
-pub use workflow::{DesignTimeAnalysis, DtaReport};

@@ -11,9 +11,8 @@ use simnode::Node;
 
 use crate::freqpred::EnergyModel;
 use crate::objectives::TuningObjective;
-use crate::session::{TuningError, TuningSession};
+use crate::session::{DtaReport, TuningError, TuningSession};
 use crate::tuning_model::TuningModel;
-use crate::workflow::DtaReport;
 
 /// Lifecycle of a PTF tuning plugin.
 pub trait TuningPlugin {

@@ -16,7 +16,7 @@
 //!   configuration) when no model matches,
 //! * [`shard`] — the concurrent [`SharedRepository`]: the same storage
 //!   semantics striped across N `RwLock`-guarded shards (partitioned by
-//!   application hash) with lock-free statistics, plus the
+//!   application hash), each keeping its own statistics, plus the
 //!   [`CalibrationLatch`] that gates cold-workload admission in the
 //!   parallel event loop,
 //! * [`session`] — the event-driven [`RuntimeSession`]: one handle per
@@ -62,9 +62,7 @@
 //!   configuration-setting performance reduction and the combined
 //!   DVFS/UFS/Score-P overhead decomposition of Section V-E,
 //! * [`tmm`] — the Tuning Model Manager (file/env loading à la
-//!   `SCOREP_RRL_TMM_PATH`),
-//! * [`rat`], [`static_tuning`] — the pre-repository entry points, kept
-//!   as thin deprecated shims.
+//!   `SCOREP_RRL_TMM_PATH`).
 //!
 //! ```text
 //! repository.publish(&advice);                   // design-time handoff
@@ -82,14 +80,12 @@ pub mod error;
 pub mod inject;
 pub mod net;
 pub mod online;
-pub mod rat;
 pub mod repository;
 pub mod sacct;
 pub mod savings;
 pub mod service;
 pub mod session;
 pub mod shard;
-pub mod static_tuning;
 pub mod tmm;
 
 pub use cluster::{
@@ -120,8 +116,3 @@ pub use service::{
 pub use session::{RegionExit, RuntimeSession};
 pub use shard::{CalibrationLatch, CalibrationOutcome, LatchStatus, SharedRepository};
 pub use tmm::TuningModelManager;
-
-#[allow(deprecated)]
-pub use rat::RrlHook;
-#[allow(deprecated)]
-pub use static_tuning::run_static;

@@ -211,12 +211,10 @@ pub(crate) struct StoredEntry {
 /// fallback, the match policy and the serving statistics.
 ///
 /// [`TuningModelRepository`] is exactly one shard behind a `&mut self`
-/// API; [`SharedRepository`](crate::SharedRepository)'s test-only
-/// locked oracle backend holds N of them, each behind its own
-/// `parking_lot::RwLock`, partitioned by application hash so an
-/// application's version lineage and its [`MatchPolicy::Application`]
-/// candidates are always shard-local (the production snapshot backend
-/// keeps the same partitioning over `SnapShard`s).
+/// API; [`SharedRepository`](crate::SharedRepository) holds N of them,
+/// each behind its own `parking_lot::RwLock`, partitioned by application
+/// hash so an application's version lineage and its
+/// [`MatchPolicy::Application`] candidates are always shard-local.
 #[derive(Debug, Default)]
 pub(crate) struct Shard {
     pub(crate) models: BTreeMap<ModelKey, StoredEntry>,

@@ -452,9 +452,9 @@ impl<'a> RuntimeSession<'a> {
         })
     }
 
-    /// Uninstrumented production run at one fixed configuration — the
-    /// replacement for the legacy `run_static`: launches at `config`, so
-    /// no switches occur, and returns the accounting record.
+    /// Uninstrumented production run at one fixed configuration (the
+    /// Table VI baseline): launches at `config`, so no switches occur,
+    /// and returns the accounting record.
     pub fn static_run(
         job: impl Into<String>,
         bench: &BenchmarkSpec,
@@ -710,6 +710,27 @@ mod tests {
         assert!(acc.record.elapsed_s > 0.0);
         assert!(acc.record.job_energy_j > acc.record.cpu_energy_j);
         assert_eq!(acc.source, ModelSource::Fallback);
+    }
+
+    #[test]
+    fn tuned_static_config_saves_energy_on_minimd() {
+        let bench = kernels::benchmark("miniMD").unwrap();
+        let node = Node::exact(0);
+        let default =
+            RuntimeSession::static_run("d", &bench, &node, SystemConfig::taurus_default())
+                .unwrap()
+                .record;
+        // Table V's static optimum for miniMD.
+        let tuned =
+            RuntimeSession::static_run("t", &bench, &node, SystemConfig::new(24, 2500, 1500))
+                .unwrap()
+                .record;
+        assert!(tuned.job_energy_j < default.job_energy_j);
+        assert!(tuned.cpu_energy_j < default.cpu_energy_j);
+        // Compute-bound at the same CF: modest time change (the simulator
+        // charges ~7 % for the uncore drop where the paper measured ~0 %).
+        let dt = (tuned.elapsed_s - default.elapsed_s).abs() / default.elapsed_s;
+        assert!(dt < 0.10, "time delta {dt}");
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!    for bit across the two loops. Skipped under declared eviction
 //!    pressure, the one documented regime where serve order may change
 //!    which entries survive.
-//! 3. **Statistics double-entry** — the shared repository's lock-free
-//!    aggregate equals the sum of its per-shard (locked) truths.
+//! 3. *(retired)* — statistics double-entry compared the lock-free
+//!    statistics aggregate of the retired snapshot backend with its
+//!    per-shard tallies; `SharedRepository::stats` now sums the shards.
 //! 4. **Version integrity** — within one run, no application is assigned
 //!    a duplicate version, and the sequential loop assigns versions in
 //!    strictly increasing submission order; the per-application
@@ -37,12 +38,9 @@
 //!    bit-identical to the unrecorded run, telemetry snapshot aside), and
 //!    two recorded runs of the same scenario emit identical virtual-time
 //!    event sequences and deterministic metric snapshots.
-//! 8. **Snapshot coherence** — re-executing the parallel run over the
-//!    pre-snapshot `RwLock` backend (`SharedRepository::new_locked`)
-//!    produces per-job results bit-identical to the snapshot-serving
-//!    backend: the lock-free read path is a pure optimisation, never a
-//!    semantic change. Skipped under declared eviction pressure for the
-//!    same reason as invariant 2.
+//! 8. *(retired)* — snapshot coherence compared the retired lock-free
+//!    snapshot backend with the striped-lock backend, which is now the
+//!    only `SharedRepository`.
 //! 9. **In-loop replication** (scenarios whose `NetPlan` sets a gossip
 //!    cadence) — the replicated *service* run, gossiping between job
 //!    events with replica crash/restart and read-repair live, ends
@@ -94,12 +92,6 @@ pub enum Violation {
         /// The diverging aggregate.
         field: &'static str,
         /// Rendered sequential vs parallel values.
-        detail: String,
-    },
-    /// The lock-free statistics aggregate disagreed with the per-shard
-    /// truth.
-    StatsDoubleEntry {
-        /// Rendered atomic vs sharded views.
         detail: String,
     },
     /// Version numbering broke (duplicate, or out of submission order in
@@ -157,17 +149,6 @@ pub enum Violation {
         /// What broke, with rendered values where per-field.
         detail: String,
     },
-    /// The snapshot-serving parallel run diverged from the `RwLock`
-    /// oracle run of the identical trace — the lock-free read path
-    /// changed an observable result.
-    SnapshotCoherence {
-        /// The diverging job (or `(aggregate)` for report-level fields).
-        job: String,
-        /// The diverging field.
-        field: &'static str,
-        /// Rendered snapshot-backend vs locked-backend values.
-        detail: String,
-    },
 }
 
 impl Violation {
@@ -179,7 +160,6 @@ impl Violation {
             Violation::RunError { .. } => "run-error",
             Violation::BitIdentity { .. } => "bit-identity",
             Violation::ReportMismatch { .. } => "report-mismatch",
-            Violation::StatsDoubleEntry { .. } => "stats-double-entry",
             Violation::VersionIntegrity { .. } => "version-integrity",
             Violation::ReplicaDivergence { .. } => "replica-divergence",
             Violation::WrongWinner { .. } => "wrong-winner",
@@ -188,7 +168,6 @@ impl Violation {
             Violation::EventCore { .. } => "event-core",
             Violation::Observability { .. } => "observability",
             Violation::InloopReplication { .. } => "inloop-replication",
-            Violation::SnapshotCoherence { .. } => "snapshot-coherence",
         }
     }
 }
@@ -206,9 +185,6 @@ impl fmt::Display for Violation {
             ),
             Violation::ReportMismatch { field, detail } => {
                 write!(f, "report aggregate `{field}` diverged: {detail}")
-            }
-            Violation::StatsDoubleEntry { detail } => {
-                write!(f, "statistics double-entry violated: {detail}")
             }
             Violation::VersionIntegrity {
                 application,
@@ -244,10 +220,6 @@ impl fmt::Display for Violation {
             Violation::InloopReplication { detail } => {
                 write!(f, "in-loop replication invariant violated: {detail}")
             }
-            Violation::SnapshotCoherence { job, field, detail } => write!(
-                f,
-                "snapshot coherence violated for `{job}` ({field}): {detail}"
-            ),
         }
     }
 }
@@ -284,9 +256,7 @@ pub fn check(scenario: &Scenario) -> Result<ScenarioRun, Box<Failure>> {
     let run = run_scenario(scenario).map_err(|v| fail(scenario, v))?;
     if !scenario.eviction_pressure() {
         bit_identity(&run).map_err(|v| fail(scenario, v))?;
-        snapshot_coherence(&run).map_err(|v| fail(scenario, v))?;
     }
-    stats_double_entry(&run).map_err(|v| fail(scenario, v))?;
     version_integrity(&run.sequential, true).map_err(|v| fail(scenario, v))?;
     version_integrity(&run.parallel, false).map_err(|v| fail(scenario, v))?;
     event_core(scenario, &run).map_err(|v| fail(scenario, v))?;
@@ -397,120 +367,6 @@ fn bit_identity(run: &ScenarioRun) -> Result<(), Violation> {
         seq.repository.evictions,
         par.repository.evictions
     );
-    Ok(())
-}
-
-/// Invariant 8: the snapshot-serving backend and the `RwLock` oracle
-/// produce bit-identical per-job results and repository aggregates for
-/// the identical parallel trace.
-fn snapshot_coherence(run: &ScenarioRun) -> Result<(), Violation> {
-    macro_rules! snap_field {
-        ($job:expr, $field:literal, $snap:expr, $locked:expr) => {
-            if $snap != $locked {
-                return Err(Violation::SnapshotCoherence {
-                    job: $job.to_string(),
-                    field: $field,
-                    detail: format!("snapshot {:?} vs locked {:?}", $snap, $locked),
-                });
-            }
-        };
-    }
-
-    let (snap, locked) = (&run.parallel, &run.locked_parallel);
-    snap_field!(
-        "(aggregate)",
-        "jobs.len",
-        snap.jobs.len(),
-        locked.jobs.len()
-    );
-    for (s, l) in snap.jobs.iter().zip(&locked.jobs) {
-        snap_field!(s.job, "submission order", s.job, l.job);
-        snap_field!(s.job, "placement", s.node_id, l.node_id);
-        snap_field!(
-            s.job,
-            "accounting.record",
-            s.accounting.record,
-            l.accounting.record
-        );
-        snap_field!(
-            s.job,
-            "accounting.regions",
-            s.accounting.regions,
-            l.accounting.regions
-        );
-        snap_field!(
-            s.job,
-            "switches",
-            s.accounting.switches,
-            l.accounting.switches
-        );
-        snap_field!(
-            s.job,
-            "model source",
-            s.accounting.source,
-            l.accounting.source
-        );
-        snap_field!(
-            s.job,
-            "online activity",
-            s.accounting.online,
-            l.accounting.online
-        );
-        snap_field!(s.job, "baseline", s.default, l.default);
-        snap_field!(s.job, "savings", s.savings, l.savings);
-        snap_field!(
-            s.job,
-            "published version",
-            s.published_version,
-            l.published_version
-        );
-        snap_field!(s.job, "drift events", s.drift, l.drift);
-        snap_field!(s.job, "rejection", s.rejection, l.rejection);
-        snap_field!(s.job, "abort point", s.aborted_at, l.aborted_at);
-    }
-    snap_field!(
-        "(aggregate)",
-        "total_tuned",
-        snap.total_tuned,
-        locked.total_tuned
-    );
-    snap_field!(
-        "(aggregate)",
-        "total_default",
-        snap.total_default,
-        locked.total_default
-    );
-    snap_field!(
-        "(aggregate)",
-        "aggregate savings",
-        snap.aggregate,
-        locked.aggregate
-    );
-    snap_field!(
-        "(aggregate)",
-        "nodes_used",
-        snap.nodes_used,
-        locked.nodes_used
-    );
-    snap_field!(
-        "(aggregate)",
-        "repository stats",
-        snap.repository,
-        locked.repository
-    );
-    Ok(())
-}
-
-/// Invariant 3: the lock-free aggregate mirrors the per-shard truth.
-fn stats_double_entry(run: &ScenarioRun) -> Result<(), Violation> {
-    if run.shared_stats != run.shard_stats {
-        return Err(Violation::StatsDoubleEntry {
-            detail: format!(
-                "atomic view {:?} vs per-shard truth {:?}",
-                run.shared_stats, run.shard_stats
-            ),
-        });
-    }
     Ok(())
 }
 
@@ -906,9 +762,12 @@ mod tests {
 
     #[test]
     fn violation_kinds_are_stable_labels() {
-        let v = Violation::StatsDoubleEntry { detail: "x".into() };
-        assert_eq!(v.kind(), "stats-double-entry");
-        assert!(v.to_string().contains("double-entry"));
+        let v = Violation::VersionIntegrity {
+            application: "app".into(),
+            detail: "x".into(),
+        };
+        assert_eq!(v.kind(), "version-integrity");
+        assert!(v.to_string().contains("version integrity"));
         let v = Violation::EventCore {
             detail: "clock regressed".into(),
         };

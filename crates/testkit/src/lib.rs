@@ -31,10 +31,11 @@
 //!   service loop ([`InloopRun`]) with a trailing batch-`converge`
 //!   oracle.
 //! * [`invariants`] — [`check`]: the invariant catalog (seq↔par per-job
-//!   bit-identity, statistics double-entry, version integrity, latch
-//!   liveness, the `event_core` guarantees of the service run, replica
+//!   bit-identity, version integrity, latch liveness, the `event_core`
+//!   guarantees of the service run, telemetry neutrality, replica
 //!   convergence/winner/determinism, in-loop convergence against the
-//!   batch oracle). Failures carry a `testkit::replay("…")` line.
+//!   batch oracle; invariants 3 and 8 are retired). Failures carry a
+//!   `testkit::replay("…")` line.
 //! * [`shrink`](mod@shrink) — greedy minimisation of a failing scenario: collapse
 //!   churn, drop jobs, drop faults, strip the net plan, shrink the
 //!   fleet, collapse the workers — while the failure label stays the

@@ -7,8 +7,7 @@
 //! and once through the discrete-event
 //! [`ClusterScheduler::run_service`] with the trace's timestamps (and
 //! the fault plan's node-churn schedule) honored in virtual time — and
-//! hands the [`ClusterReport`]s (plus the shared repository's two
-//! statistics views) to the invariant checkers. The parallel run is
+//! hands the [`ClusterReport`]s to the invariant checkers. The parallel run is
 //! guarded by a [`Watchdog`]: a liveness failure (a worker parked forever
 //! on an orphaned calibration claim) aborts the process with the
 //! scenario's replay line instead of hanging the harness.
@@ -26,7 +25,7 @@ use ptf::RandomSearch;
 use rrl::net::{ModelDigest, SessionState};
 use rrl::{
     ClusterReport, ClusterScheduler, ConvergeReport, GossipConfig, JobArrival, OnlineConfig,
-    OnlineTuning, ReplicaConfig, ReplicaSet, RepositoryStats, RuntimeError, ServiceConfig, Stamp,
+    OnlineTuning, ReplicaConfig, ReplicaSet, RuntimeError, ServiceConfig, Stamp,
 };
 use simnode::Cluster;
 
@@ -44,23 +43,13 @@ pub const LIVENESS_TIMEOUT: Duration = Duration::from_secs(120);
 pub struct ScenarioRun {
     /// The single-threaded run over a `TuningModelRepository`.
     pub sequential: ClusterReport,
-    /// The multi-worker run over a `SharedRepository` (snapshot-serving
-    /// backend — the production read path).
+    /// The multi-worker run over a `SharedRepository`.
     pub parallel: ClusterReport,
-    /// The same multi-worker run over the `RwLock` backend
-    /// (`SharedRepository::new_locked`) — the differential-testing
-    /// oracle for invariant 8 (snapshot coherence).
-    pub locked_parallel: ClusterReport,
     /// The discrete-event service run over its own
     /// `TuningModelRepository`: the same trace driven by arrival
     /// timestamps in virtual time, under the fault plan's node-churn
     /// schedule. Carries a [`rrl::ServiceSummary`] in `service.service`.
     pub service: ClusterReport,
-    /// The shared repository's lock-free statistics view after the run.
-    pub shared_stats: RepositoryStats,
-    /// The shared repository's per-shard (locked) statistics — the
-    /// double-entry counterpart of [`ScenarioRun::shared_stats`].
-    pub shard_stats: RepositoryStats,
     /// The replicated-serving execution, when the scenario carries a
     /// [`NetPlan`].
     pub replicated: Option<ReplicatedRun>,
@@ -242,29 +231,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
             .map_err(|e| run_error("parallel", e))?
     };
 
-    // Invariant 8's raw material: the identical trace over the RwLock
-    // backend. The snapshot read path must be a pure optimisation — the
-    // per-job results of the two parallel runs have to be bit-identical.
-    let locked_parallel = {
-        let locked = scenario.build_shared_locked_from(&entries);
-        let mut sched = configure(
-            ClusterScheduler::new(&fleet).map_err(|e| run_error("parallel-locked", e))?,
-            scenario,
-            strategy.as_ref(),
-        );
-        let _liveness = Watchdog::arm(
-            LIVENESS_TIMEOUT,
-            format!(
-                "locked-backend parallel run deadlocked (latch liveness violation); \
-                 reproduce with: testkit::replay(r#\"{}\"#)",
-                scenario.to_replay()
-            ),
-        );
-        sched
-            .run_parallel(&locked, scenario.workers)
-            .map_err(|e| run_error("parallel-locked", e))?
-    };
-
     let service = run_service_once(scenario, &fleet, &entries, strategy.as_ref(), None)?;
 
     // The observability invariant's raw material: the same service run
@@ -343,10 +309,7 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
     Ok(ScenarioRun {
         sequential,
         parallel,
-        locked_parallel,
         service,
-        shared_stats: shared.stats(),
-        shard_stats: shared.shard_stats(),
         replicated,
         inloop,
         observed,

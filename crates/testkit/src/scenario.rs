@@ -460,23 +460,8 @@ impl Scenario {
 
     /// [`Scenario::build_shared`] seeded from pre-measured entries.
     pub(crate) fn build_shared_from(&self, entries: &[StoredEntry]) -> SharedRepository {
-        self.seed_shared(SharedRepository::new(self.repository.shards), entries)
-    }
-
-    /// [`Scenario::build_shared_from`] over the pre-snapshot `RwLock`
-    /// backend — the differential-testing oracle of invariant 8
-    /// (snapshot coherence): identical contents, identical shard
-    /// partitioning, read path behind per-shard locks instead of
-    /// immutable snapshots.
-    pub(crate) fn build_shared_locked_from(&self, entries: &[StoredEntry]) -> SharedRepository {
-        self.seed_shared(
-            SharedRepository::new_locked(self.repository.shards),
-            entries,
-        )
-    }
-
-    fn seed_shared(&self, shared: SharedRepository, entries: &[StoredEntry]) -> SharedRepository {
-        let mut shared = shared.with_capacity(self.repository.capacity);
+        let mut shared =
+            SharedRepository::new(self.repository.shards).with_capacity(self.repository.capacity);
         if let Some(fb) = self.repository.fallback {
             shared = shared.with_fallback(fb);
         }

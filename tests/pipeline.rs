@@ -67,26 +67,6 @@ fn dta_to_rrl_round_trip_via_tuning_model_file() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_shims_still_drive_the_legacy_path() {
-    use dvfs_ufs_tuning::rrl::{run_static, JobRecord, RrlHook};
-    let bench = kernels::benchmark("miniMD").unwrap();
-    let node = Node::exact(0);
-    let default = run_static(&bench, &node, SystemConfig::taurus_default());
-    let tm = TuningModel::new(
-        "miniMD",
-        &[("compute_force".into(), SystemConfig::new(24, 2500, 1500))],
-        SystemConfig::new(24, 2500, 1500),
-    );
-    let app = InstrumentedApp::new(&bench, &node, InstrumentationConfig::scorep_defaults());
-    let mut hook = RrlHook::new(tm);
-    let tuned = app.run(&mut hook);
-    let savings = Savings::between(&default, &JobRecord::from_run(&tuned));
-    assert!(savings.cpu_energy_pct > 0.0, "{savings:?}");
-    assert!(hook.lookups() > 0);
-}
-
-#[test]
 fn plugin_interface_drives_the_same_pipeline() {
     use dvfs_ufs_tuning::ptf::DvfsUfsPlugin;
     let node = Node::exact(0);

@@ -71,7 +71,7 @@ fn seeded_fault_scenario_reproduces_bit_identically() {
     }
     assert_eq!(first.parallel.aggregate, second.parallel.aggregate);
     assert_eq!(first.sequential.aggregate, second.sequential.aggregate);
-    assert_eq!(first.shared_stats, second.shared_stats);
+    assert_eq!(first.parallel.repository, second.parallel.repository);
     // The faults visibly fired: at least one job was truncated.
     assert!(
         first.parallel.jobs.iter().any(|j| j.aborted_at.is_some()),
