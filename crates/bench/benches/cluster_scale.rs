@@ -1,15 +1,15 @@
 //! The cluster-scale serving benchmark: one full 1 024-job / 32-node
-//! submission wave through the `ClusterScheduler`, three ways:
+//! submission wave through the `ClusterScheduler`, two ways:
 //!
-//! * `sequential_1024x32` — the sequential sweep loop (`run`),
 //! * `parallel_1024x32_w1` / `_w2` — the parallel event loop
 //!   (`run_parallel`) over the lock-striped `SharedRepository` at fixed
 //!   worker counts, so the entry names do not depend on the host,
 //! * `service_1024x32` — the discrete-event kernel loop (`run_service`)
-//!   over the same wave with every arrival at t = 0.
+//!   over the same wave with every arrival at t = 0, which is exactly
+//!   what `run` executes for a submitted wave.
 //!
-//! All three produce bit-identical per-job accounting (property-tested
-//! in `tests/runtime.rs` and by testkit's `event_core` invariant); this
+//! Both produce bit-identical per-job accounting (property-tested in
+//! `tests/runtime.rs` and by testkit's bit-identity invariant); this
 //! bench records their throughput. The `_w2` figure only gains over
 //! `_w1` on a host with at least two cores.
 
@@ -75,24 +75,12 @@ fn wave_trace(benches: &[BenchmarkSpec]) -> Vec<JobArrival> {
         .collect()
 }
 
-/// One full submission wave: sequential, parallel and kernel loops.
+/// One full submission wave: parallel and kernel loops.
 fn bench_cluster_scale(c: &mut Criterion) {
     let cluster = Cluster::new(NODES, 0x5CA1E);
     let (benches, models) = wave();
     let mut group = c.benchmark_group("rrl/cluster_scale");
     group.sample_size(10);
-
-    let mut repo = TuningModelRepository::new().with_fallback(SystemConfig::new(24, 2400, 1700));
-    for (b, m) in benches.iter().zip(&models) {
-        repo.insert(b, m);
-    }
-    group.bench_function(format!("sequential_{JOBS}x{NODES}"), |b| {
-        b.iter(|| {
-            let mut sched = ClusterScheduler::new(&cluster).unwrap();
-            submit_wave(&mut sched, &benches);
-            black_box(sched.run(&mut repo).unwrap().aggregate)
-        })
-    });
 
     let shared = SharedRepository::new(16).with_fallback(SystemConfig::new(24, 2400, 1700));
     for (b, m) in benches.iter().zip(&models) {
@@ -108,6 +96,10 @@ fn bench_cluster_scale(c: &mut Criterion) {
         });
     }
 
+    let mut repo = TuningModelRepository::new().with_fallback(SystemConfig::new(24, 2400, 1700));
+    for (b, m) in benches.iter().zip(&models) {
+        repo.insert(b, m);
+    }
     group.bench_function(format!("service_{JOBS}x{NODES}"), |b| {
         b.iter(|| {
             let mut sched = ClusterScheduler::new(&cluster).unwrap();

@@ -3,40 +3,41 @@
 //! The [`ClusterScheduler`] multiplexes many concurrent
 //! [`RuntimeSession`]s across the nodes of a [`Cluster`]: jobs are placed
 //! round-robin or least-loaded (by estimated phase work), served their
-//! tuning model from a repository, and then driven *interleaved* — each
-//! event-loop sweep advances every active session by one region event —
-//! exactly as a cluster full of independently-running RRL instances would
+//! tuning model from a repository, and then driven *interleaved*, exactly
+//! as a cluster full of independently-running RRL instances would
 //! progress. Because session accounting is interleaving-independent (see
 //! [`crate::session`]), every job's result is bit-identical to running
 //! its session alone.
 //!
-//! Two event loops drive the same job-state machine:
+//! Jobs are served by one loop plus a threaded twin:
 //!
-//! * [`ClusterScheduler::run`] — single-threaded over a `&mut`
-//!   [`TuningModelRepository`]; every job advances on one thread.
-//! * [`ClusterScheduler::run_parallel`] — the submitted jobs are
-//!   partitioned across real worker threads (`rayon::scope`), each worker
-//!   running the interleaved event loop over its own partition while all
-//!   of them serve from one lock-striped [`SharedRepository`]. Cold
-//!   workloads stay correct under concurrency through a
-//!   [`CalibrationLatch`]: leadership of each unseen workload is fixed in
-//!   submission order before the workers start, and same-workload
-//!   followers block on the workload's latch entry — not on a global
-//!   scheduler stall — until the leader publishes or fails. The
-//!   `cluster_scale` bench times this loop at one and two workers against
-//!   the sequential loop and the discrete-event service loop.
+//! * The discrete-event service loop on the `simkit` kernel
+//!   ([`crate::service`]). [`ClusterScheduler::run_service`] and
+//!   [`ClusterScheduler::run_service_replicated`] feed it a timed trace;
+//!   [`ClusterScheduler::run`] feeds it the submission queue with every
+//!   job arriving at t = 0 and no node churn.
+//! * [`ClusterScheduler::run_parallel`] partitions the submitted jobs
+//!   across real worker threads (`rayon::scope`), each worker running an
+//!   interleaved sweep over its own partition while all of them serve
+//!   from one lock-striped [`SharedRepository`]. Cold workloads stay
+//!   correct under concurrency through a [`CalibrationLatch`]:
+//!   leadership of each unseen workload is fixed in submission order
+//!   before the workers start, and same-workload followers block on the
+//!   workload's latch entry until the leader publishes or fails. The
+//!   `cluster_scale` bench times this loop at one and two workers
+//!   against the kernel loop.
 //!
 //! Both produce a [`ClusterReport`] with per-job outcomes in submission
 //! order, and — for the same submissions, seeds and repository contents —
 //! **bit-identical per-job [`JobAccounting`]**: accounting depends only
 //! on the job's identity and its served model, never on which thread or
-//! sweep ordering executed it. (The one caveat is LRU pressure: when the
+//! event ordering executed it. (The one caveat is LRU pressure: when the
 //! repository is actively evicting *during* the run, serve order — which
 //! is nondeterministic across workers — can change which entries survive;
 //! a follower whose leader's publication was already evicted re-calibrates
-//! as the sequential loop would, but several same-workload followers may
-//! do so concurrently instead of queuing. Keep the capacity at or above
-//! the distinct-workload count of a wave to retain the guarantee.
+//! as [`ClusterScheduler::run`] would, but several same-workload followers
+//! may do so concurrently instead of queuing. Keep the capacity at or
+//! above the distinct-workload count of a wave to retain the guarantee.
 //! Publication *version numbers* may also be assigned in a different
 //! order when several workloads of one application publish concurrently.)
 //!
@@ -54,13 +55,11 @@ use simnode::{Cluster, Node, SystemConfig};
 
 use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
-use crate::net::ReplicaSet;
 use crate::online::{DriftEvent, ModelPublication, OnlineConfig, OnlineTuner};
-use crate::repository::{
-    ModelKey, RepositoryHandle, RepositoryStats, ServedModel, TuningModelRepository,
-};
+use crate::repository::{ModelKey, RepositoryHandle, RepositoryStats, ServedModel};
 use crate::sacct::{JobAccounting, JobRecord};
 use crate::savings::Savings;
+use crate::service::{JobArrival, RepoAccess, ServiceConfig};
 use crate::session::RuntimeSession;
 use crate::shard::{CalibrationLatch, CalibrationOutcome, LatchStatus, SharedRepository};
 
@@ -168,9 +167,11 @@ pub struct ClusterReport {
     pub repository: RepositoryStats,
     /// Distinct nodes that executed at least one job.
     pub nodes_used: usize,
-    /// Virtual-time service metrics — present only for
-    /// [`ClusterScheduler::run_service`] runs (the sweep loops have no
-    /// timeline to measure latency on).
+    /// Virtual-time service metrics — present for every kernel-loop run
+    /// ([`ClusterScheduler::run`], [`ClusterScheduler::run_service`],
+    /// [`ClusterScheduler::run_service_replicated`]); `None` for
+    /// [`ClusterScheduler::run_parallel`], which has no timeline to
+    /// measure latency on.
     pub service: Option<crate::service::ServiceSummary>,
 }
 
@@ -299,9 +300,9 @@ pub(crate) enum State<'b> {
     Done,
 }
 
-/// What [`JobDriver::advance`] observed.
+/// What [`JobDriver::advance_phase`] observed.
 pub(crate) enum EventOutcome {
-    /// The session advanced by one event.
+    /// The session completed the phase.
     Advanced,
     /// An online calibration abandoned itself (exploration budget or
     /// planning failure discovered at a phase boundary); the session
@@ -311,11 +312,10 @@ pub(crate) enum EventOutcome {
 }
 
 /// One job's driver: its state machine plus everything the final report
-/// needs. The sequential and the parallel event loops share this
-/// completely — only admission (who serves the model, and when) differs.
+/// needs. The kernel and the parallel loops share this completely — only
+/// admission (who serves the model, and when) differs.
 pub(crate) struct JobDriver<'b> {
     pub(crate) state: State<'b>,
-    region_idx: usize,
     /// Phase iterations this job will actually run: the benchmark's
     /// count, or an injected abort point (clamped to ≥ 1).
     pub(crate) iterations: u32,
@@ -329,8 +329,7 @@ pub(crate) struct JobDriver<'b> {
 impl<'b> JobDriver<'b> {
     /// A driver for `job`, with any injected abort already resolved into
     /// the effective iteration count — a pure function of the job name,
-    /// so both event loops (and both runs of a replay) truncate
-    /// identically.
+    /// so both loops (and both runs of a replay) truncate identically.
     pub(crate) fn new(job: &QueuedJob, faults: Option<&dyn FaultInjector>) -> Self {
         let iterations = faults
             .and_then(|f| f.abort_phase(&job.name))
@@ -339,7 +338,6 @@ impl<'b> JobDriver<'b> {
             });
         Self {
             state: State::Waiting,
-            region_idx: 0,
             iterations,
             accounting: None,
             default: None,
@@ -385,12 +383,16 @@ impl<'b> JobDriver<'b> {
         }
     }
 
-    /// Advance an active, unfinished job by one event: the next region's
-    /// enter/exit pair, or — once the phase's regions are exhausted — the
-    /// phase-complete.
-    pub(crate) fn advance(&mut self, bench: &BenchmarkSpec) -> Result<EventOutcome, RuntimeError> {
-        if self.region_idx < bench.regions.len() {
-            let region = &bench.regions[self.region_idx];
+    /// Advance an active, unfinished job through one whole phase in one
+    /// call: every region's enter/exit pair in order, then the
+    /// phase-complete, whose outcome is returned. Per-job accounting is
+    /// interleaving-independent, so batching a whole phase per call is
+    /// unobservable in the report.
+    pub(crate) fn advance_phase(
+        &mut self,
+        bench: &BenchmarkSpec,
+    ) -> Result<EventOutcome, RuntimeError> {
+        for region in &bench.regions {
             match &mut self.state {
                 State::Plain(session) => {
                     session.region_enter(&region.name)?;
@@ -402,10 +404,7 @@ impl<'b> JobDriver<'b> {
                 }
                 State::Waiting | State::Done => unreachable!("advance requires an active driver"),
             }
-            self.region_idx += 1;
-            return Ok(EventOutcome::Advanced);
         }
-        self.region_idx = 0;
         match &mut self.state {
             State::Plain(session) => {
                 session.phase_complete()?;
@@ -422,29 +421,6 @@ impl<'b> JobDriver<'b> {
                 Err(other) => Err(other),
             },
             State::Waiting | State::Done => unreachable!("advance requires an active driver"),
-        }
-    }
-
-    /// Advance an active, unfinished job through the *rest of its
-    /// current phase* in one call: drain the phase's remaining
-    /// contiguous region enter/exit events back to back, then take the
-    /// phase-complete, and return that boundary event's outcome. One
-    /// repository/accounting pass per session sweep instead of
-    /// per-event dispatch — the batched twin of [`JobDriver::advance`]
-    /// used by the parallel and discrete-event loops (the sequential
-    /// loop keeps single-event `advance` as the reference
-    /// implementation). Per-job accounting is interleaving-independent,
-    /// so batching granularity is unobservable in the report.
-    pub(crate) fn advance_phase(
-        &mut self,
-        bench: &BenchmarkSpec,
-    ) -> Result<EventOutcome, RuntimeError> {
-        loop {
-            let at_boundary = self.region_idx >= bench.regions.len();
-            let outcome = self.advance(bench)?;
-            if at_boundary || !matches!(outcome, EventOutcome::Advanced) {
-                return Ok(outcome);
-            }
         }
     }
 
@@ -586,8 +562,8 @@ pub(crate) fn start_monitor<'b>(
 /// injected fault, an exploration-budget failure, a planning failure, or
 /// a capability-gap rejection of the calibration launch — degrade the
 /// leader instead of erroring; the returned flag tells the caller to mark
-/// the workload's calibration *failed* (the sequential `failed` set, or
-/// the parallel latch) so same-workload followers take the fallback path.
+/// the workload's calibration *failed* (the kernel loop's `failed` set,
+/// or the parallel latch) so same-workload followers take the fallback path.
 pub(crate) fn start_calibration<'b>(
     job: &'b QueuedJob,
     node: &'b Node,
@@ -635,9 +611,9 @@ pub(crate) fn start_calibration<'b>(
 /// Fold finished drivers into the aggregate report (submission order, so
 /// the floating-point totals are identical no matter which event loop —
 /// or how many workers — produced the drivers). `placements` gives each
-/// job's final node index: the sweep loops pass the submission-time
-/// placement verbatim, the discrete-event service passes its live
-/// placements (which churn re-placement may have moved).
+/// job's final node index: the parallel loop passes the submission-time
+/// placement verbatim, the kernel loop passes its live placements (which
+/// churn re-placement may have moved).
 pub(crate) fn assemble_report(
     cluster: &Cluster,
     jobs: &[QueuedJob],
@@ -690,9 +666,9 @@ pub(crate) fn assemble_report(
 }
 
 /// How the parallel event loop will admit one job, decided up front — in
-/// submission order, exactly as the sequential loop's first admission
-/// sweep would — so leadership of every cold workload is deterministic
-/// no matter which worker reaches the job first.
+/// submission order, exactly as the kernel loop admits a t = 0 trace — so
+/// leadership of every cold workload is deterministic no matter which
+/// worker reaches the job first.
 enum Admission {
     /// Served at classification time (no online tuning, or a failed-path
     /// serve); start a plain session.
@@ -772,23 +748,26 @@ impl<'a> ClusterScheduler<'a> {
         self
     }
 
-    /// Attach a deterministic [`FaultInjector`] honored by both event
-    /// loops: jobs abort at an injected phase boundary (truncated
+    /// Attach a deterministic [`FaultInjector`] honored by every entry
+    /// point: jobs abort at an injected phase boundary (truncated
     /// accounting and baseline), cold-workload calibrations can be
     /// refused at admission, and monitoring jobs can have drift shifts
     /// injected into their detectors. Every fault is a pure function of
     /// the job identity, so a faulted parallel run still matches its
-    /// faulted sequential counterpart bit for bit.
+    /// faulted [`ClusterScheduler::run`] counterpart bit for bit. Node
+    /// churn is honored only by [`ClusterScheduler::run_service`] and
+    /// [`ClusterScheduler::run_service_replicated`], replica churn only
+    /// by the latter.
     #[must_use]
     pub fn with_faults(mut self, faults: &'a dyn FaultInjector) -> Self {
         self.faults = Some(faults);
         self
     }
 
-    /// Attach a telemetry recorder: the discrete-event service
-    /// ([`ClusterScheduler::run_service`]) and the parallel and
-    /// replicated loops emit metrics, spans, and instants into it (see
-    /// the `obskit` crate). Without this call every run uses
+    /// Attach a telemetry recorder: the kernel loop (every `run*` entry
+    /// point but [`ClusterScheduler::run_parallel`]) and the parallel
+    /// loop emit metrics, spans, and instants into it (see the `obskit`
+    /// crate). Without this call every run uses
     /// [`NoopRecorder`] — one predictable branch per instrumentation
     /// point, zero allocation — so existing call sites are unaffected.
     /// Recording never changes execution: recorded and unrecorded runs
@@ -864,13 +843,18 @@ impl<'a> ClusterScheduler<'a> {
         std::mem::take(&mut self.queue)
     }
 
-    /// Run every queued job to completion, interleaved across the
-    /// cluster, serving tuning models from `repo`.
+    /// Run every queued job to completion, serving tuning models from
+    /// `repo`: a [`TuningModelRepository`](crate::TuningModelRepository),
+    /// or one replica of a [`ReplicaSet`](crate::net::ReplicaSet) via
+    /// `set.replica_mut(i).map_err(RuntimeError::Replication)?`.
     ///
-    /// Each sweep of the scheduler loop advances every active session by
-    /// one event (a region enter/exit pair or a phase completion), so at
-    /// any instant up to `pending()` sessions are in flight. The queue is
-    /// consumed by the run, including on error.
+    /// The queue becomes a trace with every job arriving at t = 0, in
+    /// submission order, and runs through the same discrete-event kernel
+    /// loop as [`ClusterScheduler::run_service`] with unbounded slots and
+    /// no node churn. Arrivals at t = 0 are placed by the submission-time
+    /// policy, so the report's placements match the node ids
+    /// [`ClusterScheduler::submit`] returned. The queue is consumed by
+    /// the run, including on error.
     ///
     /// With [`ClusterScheduler::with_online`] attached, admission is
     /// gated per workload: the first job of a workload the repository
@@ -878,156 +862,34 @@ impl<'a> ClusterScheduler<'a> {
     /// workload wait until that calibration publishes, and then start as
     /// repository hits — the cluster warm-up pattern (miss → calibrate →
     /// publish → fleet-wide hits). Jobs of distinct workloads calibrate
-    /// concurrently.
-    pub fn run(&mut self, repo: &mut TuningModelRepository) -> Result<ClusterReport, RuntimeError> {
-        self.run_with(repo)
-    }
-
-    /// [`ClusterScheduler::run`] over any model store implementing
-    /// [`RepositoryHandle`] — the seam that lets the same event loop
-    /// serve from a plain [`TuningModelRepository`] or from one replica
-    /// of a [`ReplicaSet`] (see
-    /// [`ClusterScheduler::run_replicated`]).
-    pub fn run_with(
-        &mut self,
-        repo: &mut dyn RepositoryHandle,
-    ) -> Result<ClusterReport, RuntimeError> {
-        let cluster = self.cluster;
-        let online = self.online;
-        let faults = self.faults;
-        let jobs = self.take_queue();
-
-        let mut drivers: Vec<JobDriver<'_>> =
-            jobs.iter().map(|job| JobDriver::new(job, faults)).collect();
-
-        // Workload keys with a calibration in flight: same-key jobs wait.
-        let mut calibrating: BTreeSet<ModelKey> = BTreeSet::new();
-        // Workload keys whose calibration failed (budget/planning/fault):
-        // the rest of the queue degrades to ordinary fallback serving
-        // instead of re-attempting — and instead of aborting healthy jobs.
-        let mut failed: BTreeSet<ModelKey> = BTreeSet::new();
-        let mut done = 0usize;
-        while done < jobs.len() {
-            // Admission pass, in submission order.
-            for (driver, job) in drivers.iter_mut().zip(&jobs) {
-                if !matches!(driver.state, State::Waiting) {
-                    continue;
-                }
-                let node = cluster.node(job.node_idx);
-                let (state, rejection) = match &online {
-                    None => start_plain(job, node, repo.serve(&job.bench)?)?,
-                    Some(online) => {
-                        let key = ModelKey::of(&job.bench);
-                        if failed.contains(&key) {
-                            start_plain(job, node, repo.serve(&job.bench)?)?
-                        } else if calibrating.contains(&key) {
-                            continue; // wait for the in-flight calibration
-                        } else {
-                            match repo.serve_stored(&job.bench)? {
-                                Some(served) => {
-                                    start_monitor(job, node, served, online.config, faults)?
-                                }
-                                None => {
-                                    let (state, rejection, calibration_failed) =
-                                        start_calibration(job, node, online, faults, &mut |b| {
-                                            repo.serve_fallback(b)
-                                        })?;
-                                    if calibration_failed {
-                                        failed.insert(key);
-                                    } else {
-                                        calibrating.insert(key);
-                                    }
-                                    (state, rejection)
-                                }
-                            }
-                        }
-                    }
-                };
-                driver.state = state;
-                driver.rejection = rejection;
-            }
-
-            // Event pass: one event per active session per sweep.
-            for (driver, job) in drivers.iter_mut().zip(&jobs) {
-                if !driver.is_active() {
-                    continue;
-                }
-                if driver.finished_iterations() {
-                    let was_online = matches!(driver.state, State::Online(_));
-                    driver.finish(
-                        job,
-                        cluster.node(job.node_idx),
-                        &mut |bench, publication| {
-                            repo.publish_online(bench, &publication.model, publication.expected)
-                        },
-                    )?;
-                    if was_online {
-                        let key = ModelKey::of(&job.bench);
-                        let led_calibration = calibrating.remove(&key);
-                        if led_calibration && driver.published_version.is_none() {
-                            // The leader finished without converging
-                            // (e.g. an injected abort truncated the
-                            // calibration): same-key waiters degrade to
-                            // the fallback, exactly as the parallel
-                            // latch's failed outcome would make them.
-                            failed.insert(key);
-                        }
-                    }
-                    done += 1;
-                } else {
-                    match driver.advance(&job.bench)? {
-                        EventOutcome::Advanced => {}
-                        EventOutcome::Abandoned => {
-                            // Unblock same-key waiters — they will serve
-                            // the fallback.
-                            let key = ModelKey::of(&job.bench);
-                            calibrating.remove(&key);
-                            failed.insert(key);
-                        }
-                    }
-                }
-            }
-        }
-
-        let placements: Vec<usize> = jobs.iter().map(|j| j.node_idx).collect();
-        Ok(assemble_report(
-            cluster,
-            &jobs,
-            &placements,
-            drivers,
-            repo.stats(),
-        ))
-    }
-
-    /// [`ClusterScheduler::run`], serving from (and publishing to) one
-    /// replica of a [`ReplicaSet`].
-    ///
-    /// The run is local to the addressed replica: hits and misses go
-    /// against its repository, and online publications are stamped into
-    /// its replication log. Nothing crosses the wire here — call
-    /// [`ReplicaSet::converge`] afterwards to anti-entropy the
-    /// publications out to the other replicas. Addressing a replica the
-    /// set does not contain fails with
-    /// [`RuntimeError::Replication`].
-    pub fn run_replicated(
-        &mut self,
-        set: &mut ReplicaSet<'_>,
-        replica: u32,
-    ) -> Result<ClusterReport, RuntimeError> {
-        let replica = set
-            .replica_mut(replica)
-            .map_err(RuntimeError::Replication)?;
-        self.recorder().counter_add("cluster.replicated_runs", 1);
-        self.run_with(replica)
+    /// concurrently. Publications to a replica stay local to it until
+    /// the set gossips
+    /// ([`ReplicaSet::converge`](crate::net::ReplicaSet::converge)).
+    pub fn run(&mut self, repo: &mut dyn RepositoryHandle) -> Result<ClusterReport, RuntimeError> {
+        let trace = self
+            .take_queue()
+            .into_iter()
+            .map(|job| JobArrival {
+                name: job.name,
+                bench: job.bench,
+                arrival_s: 0.0,
+            })
+            .collect();
+        self.run_service_impl(
+            trace,
+            RepoAccess::Single(repo),
+            &ServiceConfig::default(),
+            Vec::new(),
+        )
     }
 
     /// [`ClusterScheduler::run`], but across `workers` real threads over
     /// a lock-striped [`SharedRepository`].
     ///
     /// The submitted jobs are split into contiguous submission-order
-    /// partitions, one per worker; each worker drives its partition with
-    /// the same interleaved event loop the sequential path uses. Three
-    /// mechanisms keep the result equal to the sequential run:
+    /// partitions, one per worker; each worker sweeps its partition,
+    /// advancing every active session by one phase per sweep. Three
+    /// mechanisms keep the result equal to [`ClusterScheduler::run`]:
     ///
     /// 1. **Up-front admission.** Before the workers start, every job is
     ///    classified in submission order against the repository — hits
@@ -1039,7 +901,7 @@ impl<'a> ClusterScheduler<'a> {
     ///    (only when their worker has nothing else runnable), and resume
     ///    as repository hits the moment the leader publishes — or degrade
     ///    to the calibration fallback if it fails, exactly like the
-    ///    sequential failed-workload path. Leaders never wait, so the
+    ///    kernel loop's failed-workload path. Leaders never wait, so the
     ///    wait graph is acyclic and the loop cannot deadlock.
     /// 3. **Interleaving-independent accounting** (see
     ///    [`crate::session`]) makes each job's result independent of
@@ -1051,8 +913,8 @@ impl<'a> ClusterScheduler<'a> {
     /// `tests/runtime.rs` suite locks in — as long as the repository is
     /// not LRU-evicting mid-run (see the module docs for the caveat).
     ///
-    /// `workers` is clamped to `1..=pending()`. Errors mirror the
-    /// sequential path; when several workers fail, the error of the
+    /// `workers` is clamped to `1..=pending()`. Errors mirror
+    /// [`ClusterScheduler::run`]; when several workers fail, the error of the
     /// earliest-submitted failing job is returned. The queue is consumed
     /// by the run, including on error.
     pub fn run_parallel(
@@ -1081,9 +943,9 @@ impl<'a> ClusterScheduler<'a> {
         // calibrate in this wave is retried in the next).
         let latch = CalibrationLatch::new(repo.shard_count());
 
-        // 1. Classification: the sequential loop's first admission sweep,
-        //    replayed verbatim — submission order against the current
-        //    repository state.
+        // 1. Classification: the kernel loop's t = 0 admissions, replayed
+        //    verbatim — submission order against the current repository
+        //    state.
         let mut slots: Vec<Slot<'_>> = Vec::with_capacity(jobs.len());
         let mut leaders: BTreeSet<ModelKey> = BTreeSet::new();
         for job in &jobs {
@@ -1193,7 +1055,7 @@ impl<'a> ClusterScheduler<'a> {
 
 /// One worker's event loop over its contiguous partition of the
 /// submitted jobs: admit what the classification decided, advance every
-/// active session one event per sweep, and park on the calibration latch
+/// active session one phase per sweep, and park on the calibration latch
 /// only when nothing in the partition is runnable. Errors carry the
 /// partition-local index of the failing job.
 #[allow(clippy::too_many_arguments)]
@@ -1268,8 +1130,8 @@ fn drive_partition<'b>(
                                         }
                                         // Published but already LRU-evicted:
                                         // calibrate afresh, exactly as the
-                                        // sequential admission would on the
-                                        // re-miss (the claim stays resolved,
+                                        // kernel loop's admission would on
+                                        // the re-miss (the claim stays resolved,
                                         // so under churn this heavy several
                                         // same-workload followers may each
                                         // re-calibrate rather than queue).
@@ -1289,8 +1151,9 @@ fn drive_partition<'b>(
                                     }
                                 }
                                 LatchStatus::Done(CalibrationOutcome::Failed) => {
-                                    // Exactly the sequential failed-workload
-                                    // path: a full serve (miss + fallback).
+                                    // Exactly the kernel loop's failed-
+                                    // workload path: a full serve (miss +
+                                    // fallback).
                                     let served = repo.serve(&job.bench).map_err(fail)?;
                                     start_plain(job, node, served).map_err(fail)?
                                 }
@@ -1302,7 +1165,7 @@ fn drive_partition<'b>(
                 progressed = true;
             }
 
-            // Event: one step per active session per sweep.
+            // Event: one phase per active session per sweep.
             if slot.driver.is_active() {
                 if slot.driver.finished_iterations() {
                     slot.driver
@@ -1367,6 +1230,7 @@ fn drive_partition<'b>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::repository::TuningModelRepository;
     use ptf::TuningModel;
 
     fn lulesh_model() -> TuningModel {
@@ -1455,7 +1319,7 @@ mod tests {
     }
 
     #[test]
-    fn run_replicated_serves_synced_entries_identically_to_a_plain_run() {
+    fn run_on_a_replica_serves_synced_entries_identically_to_a_plain_run() {
         use crate::net::{ReplicaConfig, ReplicaSet};
         let cluster = Cluster::exact(2);
         let lulesh = kernels::benchmark("Lulesh").unwrap();
@@ -1476,7 +1340,7 @@ mod tests {
         for i in 0..3 {
             sched.submit(format!("lulesh-{i}"), lulesh.clone());
         }
-        let replicated = sched.run_replicated(&mut set, 2).unwrap();
+        let replicated = sched.run(set.replica_mut(2).unwrap()).unwrap();
         assert_eq!(
             replicated.repository.hits, 3,
             "replicated entries serve as hits"
@@ -1507,7 +1371,7 @@ mod tests {
         // Addressing a replica the set does not contain is a value, not
         // a panic.
         assert!(matches!(
-            sched.run_replicated(&mut set, 7),
+            set.replica_mut(7).map_err(RuntimeError::Replication),
             Err(RuntimeError::Replication(
                 crate::net::NetError::UnknownReplica {
                     replica: 7,

@@ -134,7 +134,8 @@ pub enum RuntimeError {
     Planning(ptf::TuningError),
     /// Replicated serving failed below the repository: a wire-format,
     /// session or convergence error from the [`crate::net`] stack (e.g.
-    /// `run_replicated` addressed a replica the set does not contain).
+    /// `ReplicaSet::replica_mut` addressed a replica the set does not
+    /// contain).
     Replication(crate::net::NetError),
     /// The discrete-event service quiesced with jobs still unfinished —
     /// its event heap ran dry while queued work remained, which a

@@ -34,28 +34,32 @@
 //!   sessions across the nodes of a simulated cluster (round-robin or
 //!   least-loaded placement), gates cold workloads behind a single
 //!   online calibration when [`OnlineTuning`] is attached, and reports
-//!   per-job and aggregate savings — either on one thread
-//!   ([`ClusterScheduler::run`]) or across real worker threads over a
+//!   per-job and aggregate savings — either through the discrete-event
+//!   kernel loop of [`service`] ([`ClusterScheduler::run`], every job
+//!   arriving at t = 0) or across real worker threads over a
 //!   [`SharedRepository`] ([`ClusterScheduler::run_parallel`]), with
 //!   bit-identical per-job accounting either way,
 //! * [`inject`] — deterministic fault injection: the [`FaultInjector`]
-//!   seam both event loops, the online tuner and the simulated network
+//!   seam every scheduler entry point, the online tuner and the simulated
+//!   network
 //!   honor (job aborts at a phase boundary, refused calibrations,
 //!   injected drift shifts, message delay/drop/duplication/partition),
 //!   so a scenario engine can drive the unhappy paths without forking
 //!   the runtime,
-//! * [`service`] — the long-lived cluster service on the `simkit`
-//!   discrete-event kernel: [`ClusterScheduler::run_service`] drives a
-//!   timestamped [`JobArrival`] trace in virtual time with per-node run
-//!   queues, mid-run node join/drain/fail churn
-//!   ([`FaultInjector::node_churn`]) and latency/queue-depth percentiles
-//!   in the report ([`ServiceSummary`]),
+//! * [`service`] — the serving loop on the `simkit` discrete-event
+//!   kernel: [`ClusterScheduler::run_service`] drives a timestamped
+//!   [`JobArrival`] trace in virtual time with per-node run queues,
+//!   mid-run node join/drain/fail churn ([`FaultInjector::node_churn`])
+//!   and latency/queue-depth percentiles in the report
+//!   ([`ServiceSummary`]); [`ClusterScheduler::run`] is the same loop
+//!   over the submission queue,
 //! * [`net`] — replicated serving: a seeded fault-injectable
 //!   [`SimTransport`], a length-framed versioned wire format, per-peer
 //!   handshake [`Session`](net::Session)s, and [`ReplicaSet`] — N
 //!   replica repositories converged to bit-identical model maps by
-//!   version-vector anti-entropy sync
-//!   ([`ClusterScheduler::run_replicated`]),
+//!   version-vector anti-entropy sync (a single replica serves a whole
+//!   [`ClusterScheduler::run`]; [`ClusterScheduler::run_service_replicated`]
+//!   gossips in the loop),
 //! * [`sacct`] — SLURM-style job accounting: the job-level Table VI
 //!   record plus the per-region energy/time breakdown,
 //! * [`savings`] — default-vs-tuned comparisons including the

@@ -385,6 +385,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_payload_is_malformed_not_a_stack_overflow() {
+        let depth = 200_000;
+        let payload = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let mut bytes = ((payload.len() + 2) as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(&PROTOCOL_VERSION.to_be_bytes());
+        bytes.extend_from_slice(payload.as_bytes());
+        assert!(bytes.len() - 4 <= MAX_FRAME, "fits in one frame");
+        assert!(matches!(decode(&bytes), Err(NetError::Malformed(_))));
+    }
+
+    #[test]
     fn errors_display_their_condition() {
         let cases: Vec<(NetError, &str)> = vec![
             (NetError::Truncated { needed: 6, have: 2 }, "truncated"),

@@ -27,8 +27,11 @@
 //!
 //! The scheduler consumes all of this through one seam:
 //! [`RepositoryHandle`](crate::repository::RepositoryHandle), which
-//! both the plain repository and a [`Replica`] implement — see
-//! [`ClusterScheduler::run_replicated`](crate::ClusterScheduler::run_replicated).
+//! both the plain repository and a [`Replica`] implement, so
+//! [`ClusterScheduler::run`](crate::ClusterScheduler::run) serves from
+//! `set.replica_mut(i)?` as it does from a local repository, and
+//! [`ClusterScheduler::run_service_replicated`](crate::ClusterScheduler::run_service_replicated)
+//! routes each node to its home replica with gossip in the loop.
 
 pub mod frame;
 pub mod reconcile;

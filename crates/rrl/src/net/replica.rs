@@ -532,9 +532,10 @@ impl<'a> ReplicaSet<'a> {
             })
     }
 
-    /// Mutable access to the replica with this id — the handle
-    /// [`ClusterScheduler::run_replicated`](crate::ClusterScheduler::run_replicated)
-    /// serves through.
+    /// Mutable access to the replica with this id — a
+    /// [`RepositoryHandle`] that
+    /// [`ClusterScheduler::run`](crate::ClusterScheduler::run) can serve
+    /// a whole run from.
     pub fn replica_mut(&mut self, id: u32) -> Result<&mut Replica, NetError> {
         let replicas = self.replicas.len();
         self.replicas

@@ -1,31 +1,34 @@
-//! The long-lived, churn-tolerant cluster service on the `simkit` kernel.
+//! The serving loop: the long-lived, churn-tolerant cluster service on
+//! the `simkit` kernel.
 //!
-//! [`ClusterScheduler::run_service`] is the third event loop over the
-//! shared job-state machine of [`crate::cluster`] — and the first one
-//! where *time* is real (virtual): jobs arrive at their trace timestamps,
-//! every region enter/exit pair and phase completion is a scheduled event
-//! whose virtual duration is the session's own accumulated wall time,
-//! calibration completions release their same-workload waiters at the
-//! instant the leader finishes, and nodes join, drain and fail mid-run on
-//! the [`FaultInjector::node_churn`] schedule. Per-node run queues form
-//! when [`ServiceConfig::slots_per_node`] bounds concurrency; queue depth
-//! and sojourn are sampled at event granularity into deterministic
+//! [`ClusterScheduler::run_service`] drives the shared job-state machine
+//! of [`crate::cluster`] in virtual time: jobs arrive at their trace
+//! timestamps, each phase of a session (its region enter/exit pairs plus
+//! the phase completion) is a scheduled event whose virtual duration is
+//! the session's own accumulated wall time, calibration completions
+//! release their same-workload waiters at the instant the leader
+//! finishes, and nodes join, drain and fail mid-run on the
+//! [`FaultInjector::node_churn`] schedule. Per-node run queues form when
+//! [`ServiceConfig::slots_per_node`] bounds concurrency; queue depth and
+//! sojourn are sampled at event granularity into deterministic
 //! [`QuantileSketch`]es, and the report gains job-latency and queue-depth
-//! percentiles ([`ServiceSummary`]).
+//! percentiles ([`ServiceSummary`]). [`ClusterScheduler::run`] is this
+//! same loop over the submission queue: every job arrives at t = 0,
+//! slots are unbounded and node churn is not scheduled.
 //!
 //! ## Determinism and bit-identity
 //!
 //! Execution order is a pure function of the trace timestamps and the
 //! kernel's `(deliver_at, seq_id)` rule — no wall clock, no randomness.
 //! Because per-job accounting is interleaving-independent (see
-//! [`crate::session`]), a service run over a zero-interarrival trace with
-//! no churn and unbounded slots is **bit-identical per job** to
-//! [`ClusterScheduler::run`] and [`ClusterScheduler::run_parallel`] on
-//! the same submissions: arrivals at `t = 0` are placed and admitted in
-//! trace order (the sequential loop's first admission sweep, verbatim —
-//! same placements, same serve calls, same calibration leaders), and each
+//! [`crate::session`]), a run over a zero-interarrival trace with no
+//! churn and unbounded slots is **bit-identical per job** to
+//! [`ClusterScheduler::run_parallel`] on the same submissions: arrivals
+//! at `t = 0` are placed and admitted in trace order (same placements as
+//! [`ClusterScheduler::submit`], same serve calls, same calibration
+//! leaders as the parallel loop's up-front classification), and each
 //! session's events then replay its own timeline. The testkit
-//! `event_core` invariant locks this equivalence in.
+//! bit-identity invariant locks this equivalence in.
 //!
 //! ## Churn semantics
 //!
@@ -80,7 +83,7 @@ use crate::cluster::{
 use crate::error::RuntimeError;
 use crate::inject::{ChurnEvent, ChurnKind, FaultInjector, ReplicaChurnEvent, ReplicaChurnKind};
 use crate::net::{NetError, ReplicaSet};
-use crate::repository::{ModelKey, RepositoryHandle, RepositoryStats, ServedModel};
+use crate::repository::{ModelKey, RepositoryHandle, RepositoryStats};
 
 /// One job of a service trace: what to run, and *when* it arrives.
 #[derive(Debug, Clone)]
@@ -97,7 +100,7 @@ pub struct JobArrival {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Concurrent sessions a node runs before arrivals queue on it
-    /// (0 = unbounded, the sweep loops' implicit behavior).
+    /// (0 = unbounded, what [`ClusterScheduler::run`] uses).
     pub slots_per_node: usize,
 }
 
@@ -335,7 +338,7 @@ struct RepairState {
 
 /// In-loop replication state: the replica set plus the service-side
 /// gossip scheduling and read-repair bookkeeping.
-struct NetState<'r, 'a> {
+pub(crate) struct NetState<'r, 'a> {
     set: &'r mut ReplicaSet<'a>,
     cadence_us: Time,
     read_repair: bool,
@@ -376,77 +379,24 @@ impl NetState<'_, '_> {
     }
 }
 
-/// How a service run reaches its tuning models: one repository handle
-/// ([`ClusterScheduler::run_service`]) or a replica per node group with
-/// in-loop anti-entropy ([`ClusterScheduler::run_service_replicated`]).
-enum RepoAccess<'r, 'a> {
+/// How a kernel-loop run reaches its tuning models: one repository
+/// handle ([`ClusterScheduler::run`], [`ClusterScheduler::run_service`])
+/// or a replica per node group with in-loop anti-entropy
+/// ([`ClusterScheduler::run_service_replicated`]).
+pub(crate) enum RepoAccess<'r, 'a> {
     Single(&'r mut dyn RepositoryHandle),
     Replicated(NetState<'r, 'a>),
 }
 
 impl RepoAccess<'_, '_> {
-    fn serve(&mut self, node: usize, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+    /// The repository serving `node`: the single handle, or the node's
+    /// serving replica.
+    fn at(&mut self, node: usize) -> Result<&mut dyn RepositoryHandle, RuntimeError> {
         match self {
-            RepoAccess::Single(repo) => repo.serve(bench),
+            RepoAccess::Single(repo) => Ok(&mut **repo),
             RepoAccess::Replicated(net) => {
                 let id = net.serving_replica(node);
-                net.set
-                    .replica_mut(id)
-                    .map_err(RuntimeError::Replication)?
-                    .serve(bench)
-            }
-        }
-    }
-
-    fn serve_stored(
-        &mut self,
-        node: usize,
-        bench: &BenchmarkSpec,
-    ) -> Result<Option<ServedModel>, RuntimeError> {
-        match self {
-            RepoAccess::Single(repo) => repo.serve_stored(bench),
-            RepoAccess::Replicated(net) => {
-                let id = net.serving_replica(node);
-                net.set
-                    .replica_mut(id)
-                    .map_err(RuntimeError::Replication)?
-                    .serve_stored(bench)
-            }
-        }
-    }
-
-    fn serve_fallback(
-        &mut self,
-        node: usize,
-        bench: &BenchmarkSpec,
-    ) -> Result<ServedModel, RuntimeError> {
-        match self {
-            RepoAccess::Single(repo) => repo.serve_fallback(bench),
-            RepoAccess::Replicated(net) => {
-                let id = net.serving_replica(node);
-                net.set
-                    .replica_mut(id)
-                    .map_err(RuntimeError::Replication)?
-                    .serve_fallback(bench)
-            }
-        }
-    }
-
-    fn publish_online(
-        &mut self,
-        node: usize,
-        bench: &BenchmarkSpec,
-        model: &ptf::TuningModel,
-        expected: Vec<(String, f64)>,
-    ) -> u32 {
-        match self {
-            RepoAccess::Single(repo) => repo.publish_online(bench, model, expected),
-            RepoAccess::Replicated(net) => {
-                let id = net.serving_replica(node);
-                net.set
-                    .replica_mut(id)
-                    .expect("serving replica is in range by construction")
-                    .publish_online(bench, model, expected)
+                Ok(net.set.replica_mut(id).map_err(RuntimeError::Replication)?)
             }
         }
     }
@@ -573,8 +523,8 @@ impl ServiceRun<'_, '_, '_> {
         Ok(())
     }
 
-    /// Admit job `i` on its placed node: the sequential loop's admission
-    /// decision, verbatim. Returns `false` when the job parked behind an
+    /// Admit job `i` on its placed node: serve, calibrate, or park
+    /// behind the workload's in-flight calibration. Returns `false` when the job parked behind an
     /// in-flight same-workload calibration instead of starting (parked
     /// jobs hold no slot).
     fn admit(
@@ -589,11 +539,11 @@ impl ServiceRun<'_, '_, '_> {
         let node = self.cluster.node(node_idx);
         let faults = self.faults;
         let (state, rejection) = match self.online {
-            None => start_plain(job, node, self.repo.serve(node_idx, &job.bench)?)?,
+            None => start_plain(job, node, self.repo.at(node_idx)?.serve(&job.bench)?)?,
             Some(online) => {
                 let key = ModelKey::of(&job.bench);
                 if self.failed.contains(&key) {
-                    start_plain(job, node, self.repo.serve(node_idx, &job.bench)?)?
+                    start_plain(job, node, self.repo.at(node_idx)?.serve(&job.bench)?)?
                 } else if let Some(waiters) = self.calibrating.get_mut(&key) {
                     waiters.push(i);
                     self.parked_us[i] = now;
@@ -602,7 +552,7 @@ impl ServiceRun<'_, '_, '_> {
                     }
                     return Ok(false);
                 } else {
-                    match self.repo.serve_stored(node_idx, &job.bench)? {
+                    match self.repo.at(node_idx)?.serve_stored(&job.bench)? {
                         Some(served) => start_monitor(job, node, served, online.config, faults)?,
                         None => {
                             if self.try_read_repair(i, now, sink)? {
@@ -611,7 +561,7 @@ impl ServiceRun<'_, '_, '_> {
                             let repo = &mut self.repo;
                             let (state, rejection, calibration_failed) =
                                 start_calibration(job, node, &online, faults, &mut |b| {
-                                    repo.serve_fallback(node_idx, b)
+                                    repo.at(node_idx)?.serve_fallback(b)
                                 })?;
                             if calibration_failed {
                                 self.failed.insert(key);
@@ -689,7 +639,9 @@ impl ServiceRun<'_, '_, '_> {
             let node = self.cluster.node(node_idx);
             let Self { drivers, repo, .. } = self;
             drivers[i].finish(job, node, &mut |bench, publication| {
-                repo.publish_online(node_idx, bench, &publication.model, publication.expected)
+                repo.at(node_idx)
+                    .expect("serving replica is in range by construction")
+                    .publish_online(bench, &publication.model, publication.expected)
             })?;
             // A publication must gossip out while the service keeps
             // running: re-arm the cadence if it had parked.
@@ -1154,9 +1106,7 @@ impl ClusterScheduler<'_> {
     /// Run `trace` as a long-lived service in virtual time, serving
     /// tuning models from `repo`.
     ///
-    /// Unlike [`ClusterScheduler::run`] — which consumes the submission
-    /// queue as an *ordering* and sweeps every active session in lockstep
-    /// — this is a discrete-event simulation on the [`simkit`] kernel:
+    /// This is a discrete-event simulation on the [`simkit`] kernel:
     /// jobs are placed when their [`JobArrival::arrival_s`] timestamp
     /// fires, each session's region and phase events are scheduled at the
     /// virtual times the session itself accounts, and the node
@@ -1166,8 +1116,9 @@ impl ClusterScheduler<'_> {
     /// queue-wait and queue-depth percentiles.
     ///
     /// On a zero-interarrival trace with no churn and unbounded slots,
-    /// per-job accounting is bit-identical to both sweep loops (the
-    /// `event_core` testkit invariant). The submission queue is not
+    /// this is exactly [`ClusterScheduler::run`] over the same
+    /// submissions, and per-job accounting is bit-identical to
+    /// [`ClusterScheduler::run_parallel`]. The submission queue is not
     /// consumed — the trace is the workload.
     pub fn run_service(
         &mut self,
@@ -1175,7 +1126,8 @@ impl ClusterScheduler<'_> {
         repo: &mut dyn RepositoryHandle,
         config: &ServiceConfig,
     ) -> Result<ClusterReport, RuntimeError> {
-        self.run_service_impl(trace, RepoAccess::Single(repo), config)
+        let churn = self.faults().map(|f| f.node_churn()).unwrap_or_default();
+        self.run_service_impl(trace, RepoAccess::Single(repo), config, churn)
     }
 
     /// Run `trace` as a long-lived service over a [`ReplicaSet`], with
@@ -1222,14 +1174,19 @@ impl ClusterScheduler<'_> {
             crashes: 0,
             restarts: 0,
         };
-        self.run_service_impl(trace, RepoAccess::Replicated(net), config)
+        let churn = self.faults().map(|f| f.node_churn()).unwrap_or_default();
+        self.run_service_impl(trace, RepoAccess::Replicated(net), config, churn)
     }
 
-    fn run_service_impl(
+    /// The kernel loop behind every entry point except
+    /// [`ClusterScheduler::run_parallel`]: `trace` served through `repo`
+    /// under the node `churn` schedule.
+    pub(crate) fn run_service_impl(
         &mut self,
         trace: Vec<JobArrival>,
         mut repo: RepoAccess<'_, '_>,
         config: &ServiceConfig,
+        churn: Vec<ChurnEvent>,
     ) -> Result<ClusterReport, RuntimeError> {
         let cluster = self.cluster();
         let faults = self.faults();
@@ -1245,7 +1202,6 @@ impl ClusterScheduler<'_> {
                 node_idx: 0,
             })
             .collect();
-        let churn = faults.map(|f| f.node_churn()).unwrap_or_default();
 
         let mut kernel: Kernel<ServiceEvent> = Kernel::new();
         for (i, &at) in arrivals_us.iter().enumerate() {

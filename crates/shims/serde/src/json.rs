@@ -1,5 +1,6 @@
 //! The JSON data model behind the serde shim: a value tree, a renderer
-//! (compact and pretty) and a recursive-descent parser.
+//! (compact and pretty) and a recursive-descent parser with a nesting
+//! limit, so untrusted input can never exhaust the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -204,14 +205,24 @@ impl std::error::Error for Error {}
 
 // --------------------------------------------------------------- parser
 
-/// Parse a JSON document into a [`Value`].
+/// Deepest array/object nesting [`parse`] accepts — the default
+/// recursion limit of real `serde_json`. Deeper input is an error, not a
+/// stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parse a JSON document into a [`Value`]. Errors on malformed input and
+/// on nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, Error> {
-    let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        input,
+        bytes: input.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != p.bytes.len() {
         return Err(Error::custom(format!(
             "trailing characters at byte {}",
             p.pos
@@ -221,8 +232,13 @@ pub fn parse(input: &str) -> Result<Value, Error> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
+    /// Byte offset of the next unread character; always on a char
+    /// boundary.
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -270,8 +286,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(Error::custom(format!(
                 "unexpected `{}` at byte {}",
@@ -279,6 +295,21 @@ impl Parser<'_> {
             ))),
             None => Err(Error::custom("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::custom(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -364,11 +395,9 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .input
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| Error::custom("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| Error::custom("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| Error::custom("bad \\u escape"))?;
                             out.push(
@@ -382,10 +411,10 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| Error::custom("bad UTF-8"))?;
-                    let c = s
+                    // Consume one UTF-8 scalar: `pos` is on a char
+                    // boundary, so this decodes one char, not the rest
+                    // of the input.
+                    let c = self.input[self.pos..]
                         .chars()
                         .next()
                         .ok_or_else(|| Error::custom("unterminated string"))?;
@@ -465,6 +494,35 @@ mod tests {
                 other => panic!("expected float, got {other:?}"),
             }
         }
+    }
+
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        assert!(parse(&nested_arrays(MAX_DEPTH)).is_ok());
+        let err = parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Far past the limit: an error, not a stack overflow.
+        assert!(parse(&nested_arrays(200_000)).is_err());
+    }
+
+    #[test]
+    fn strings_mixing_multi_byte_chars_and_escapes_round_trip() {
+        let txt = r#""grüße \u00e9t\u00E9 → 日本\n\u0041é""#;
+        let v = parse(txt).unwrap();
+        assert_eq!(v, Value::String("grüße été → 日本\nAé".into()));
+        assert_eq!(parse(&v.render_compact()).unwrap(), v);
+        assert!(parse(r#""\u00e""#).is_err());
+        assert!(parse(r#""\u00é1""#).is_err());
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The invariant catalog: what every scenario run must satisfy.
 //!
-//! [`check`] runs a scenario through both event loops and verifies, in
-//! order:
+//! [`check`] runs a scenario through both loops (the kernel loop, as
+//! `run` and `run_service`, and the threaded `run_parallel`) and
+//! verifies, in order:
 //!
 //! 1. **Liveness** — the parallel run returns at all (enforced by the
 //!    runner's watchdog plus the runtime's own release-active
@@ -17,15 +18,11 @@
 //!    statistics aggregate of the retired snapshot backend with its
 //!    per-shard tallies; `SharedRepository::stats` now sums the shards.
 //! 4. **Version integrity** — within one run, no application is assigned
-//!    a duplicate version, and the sequential loop assigns versions in
-//!    strictly increasing submission order; the per-application
+//!    a duplicate version, and `run` (the `sequential` report) assigns
+//!    versions in strictly increasing submission order; the per-application
 //!    high-water mark never regresses, even under eviction.
 //! 5. **Event core** — the discrete-event service run quiesces with an
-//!    empty heap and a monotone virtual clock on *every* scenario, and
-//!    on the overlapping scenario class (zero-interarrival trace, no
-//!    churn, no eviction pressure — where the service loop and the
-//!    sweep loops are defined to coincide) its per-job accounting is
-//!    bit-identical to the sequential sweep.
+//!    empty heap and a monotone virtual clock on *every* scenario.
 //! 6. **Replication** (scenarios carrying a
 //!    [`NetPlan`](crate::scenario::NetPlan)) — the replicated execution
 //!    is bit-identical across reruns, every session ends `Closed`, every
@@ -124,12 +121,10 @@ pub enum Violation {
     /// outcome — replication must be a pure function of the scenario.
     ReplicationNondeterminism,
     /// The discrete-event service run broke a kernel guarantee: it
-    /// failed to quiesce with an empty heap, its virtual clock
-    /// regressed, or (on the overlapping scenario class) its per-job
-    /// accounting diverged from the sequential sweep.
+    /// failed to quiesce with an empty heap, or its virtual clock
+    /// regressed.
     EventCore {
-        /// What broke, with rendered sweep vs event-loop values where
-        /// the divergence is per-field.
+        /// What broke.
         detail: String,
     },
     /// Telemetry recording broke determinism: a recorded service run
@@ -259,7 +254,7 @@ pub fn check(scenario: &Scenario) -> Result<ScenarioRun, Box<Failure>> {
     }
     version_integrity(&run.sequential, true).map_err(|v| fail(scenario, v))?;
     version_integrity(&run.parallel, false).map_err(|v| fail(scenario, v))?;
-    event_core(scenario, &run).map_err(|v| fail(scenario, v))?;
+    event_core(&run).map_err(|v| fail(scenario, v))?;
     observability(&run).map_err(|v| fail(scenario, v))?;
     if let Some(replicated) = &run.replicated {
         replication(replicated).map_err(|v| fail(scenario, v))?;
@@ -401,14 +396,10 @@ fn version_integrity(report: &ClusterReport, submission_ordered: bool) -> Result
     Ok(())
 }
 
-/// Invariant 5: the discrete-event service quiesces cleanly everywhere,
-/// and coincides bit for bit with the sequential sweep on the
-/// overlapping scenario class — a zero-interarrival trace (every job
-/// arrives at the same instant, so admission order is submission
-/// order), a stable fleet, and no eviction pressure.
-fn event_core(scenario: &Scenario, run: &ScenarioRun) -> Result<(), Violation> {
-    let service = &run.service;
-    let Some(summary) = &service.service else {
+/// Invariant 5: the discrete-event service quiesces cleanly and its
+/// virtual clock never regresses.
+fn event_core(run: &ScenarioRun) -> Result<(), Violation> {
+    let Some(summary) = &run.service.service else {
         return Err(Violation::EventCore {
             detail: "service report carries no ServiceSummary".into(),
         });
@@ -423,93 +414,6 @@ fn event_core(scenario: &Scenario, run: &ScenarioRun) -> Result<(), Violation> {
             detail: "event heap was not empty at quiesce".into(),
         });
     }
-    let zero_interarrival = scenario
-        .jobs
-        .windows(2)
-        .all(|pair| pair[1].arrival_s == pair[0].arrival_s);
-    if !zero_interarrival || !scenario.faults.churn.is_empty() || scenario.eviction_pressure() {
-        return Ok(());
-    }
-
-    macro_rules! field {
-        ($name:expr, $sweep:expr, $event:expr) => {
-            if $sweep != $event {
-                return Err(Violation::EventCore {
-                    detail: format!(
-                        "{} diverged: sweep {:?} vs event loop {:?}",
-                        $name, $sweep, $event
-                    ),
-                });
-            }
-        };
-    }
-
-    let seq = &run.sequential;
-    field!("jobs.len", seq.jobs.len(), service.jobs.len());
-    for (s, e) in seq.jobs.iter().zip(&service.jobs) {
-        let job = |field: &str| format!("job `{}` {field}", s.job);
-        field!(job("submission order"), s.job, e.job);
-        field!(job("placement"), s.node_id, e.node_id);
-        field!(
-            job("accounting.record"),
-            s.accounting.record,
-            e.accounting.record
-        );
-        field!(
-            job("accounting.regions"),
-            s.accounting.regions,
-            e.accounting.regions
-        );
-        field!(
-            job("switches"),
-            s.accounting.switches,
-            e.accounting.switches
-        );
-        field!(
-            job("model source"),
-            s.accounting.source,
-            e.accounting.source
-        );
-        field!(
-            job("online activity"),
-            s.accounting.online,
-            e.accounting.online
-        );
-        field!(job("baseline"), s.default, e.default);
-        field!(job("savings"), s.savings, e.savings);
-        field!(
-            job("published version"),
-            s.published_version,
-            e.published_version
-        );
-        field!(job("drift events"), s.drift, e.drift);
-        field!(job("rejection"), s.rejection, e.rejection);
-        field!(job("abort point"), s.aborted_at, e.aborted_at);
-    }
-    field!("total_tuned", seq.total_tuned, service.total_tuned);
-    field!("total_default", seq.total_default, service.total_default);
-    field!("aggregate savings", seq.aggregate, service.aggregate);
-    field!("nodes_used", seq.nodes_used, service.nodes_used);
-    field!(
-        "repository.hits",
-        seq.repository.hits,
-        service.repository.hits
-    );
-    field!(
-        "repository.misses",
-        seq.repository.misses,
-        service.repository.misses
-    );
-    field!(
-        "repository.fallbacks",
-        seq.repository.fallbacks,
-        service.repository.fallbacks
-    );
-    field!(
-        "repository.publications",
-        seq.repository.publications,
-        service.repository.publications
-    );
     Ok(())
 }
 

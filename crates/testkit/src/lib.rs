@@ -22,9 +22,10 @@
 //!   data, from which fleets, repositories and the fault injector are
 //!   derived deterministically. [`Scenario::to_replay`] turns any
 //!   scenario into a one-line repro.
-//! * [`runner`] — [`run_scenario`]: the same trace through the
-//!   sequential, parallel *and* discrete-event service loops, with a
-//!   liveness [`Watchdog`] over the parallel run — plus, for scenarios
+//! * [`runner`] — [`run_scenario`]: the same trace through `run` (the
+//!   kernel loop at t = 0), the parallel loop *and* the timed
+//!   discrete-event service run, with a liveness [`Watchdog`] over the
+//!   parallel run — plus, for scenarios
 //!   carrying a [`NetPlan`], twice through the replicated
 //!   [`rrl::ReplicaSet`] path ([`ReplicatedRun`]) and, when the plan
 //!   sets a gossip cadence, twice through the in-loop replicated

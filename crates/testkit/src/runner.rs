@@ -1,10 +1,10 @@
-//! Executing a [`Scenario`]: the same trace through both event loops.
+//! Executing a [`Scenario`]: the same trace through both loops.
 //!
 //! [`run_scenario`] materialises the fleet and both repository flavours,
 //! submits the arrival trace three times — once through
-//! [`ClusterScheduler::run`] on one thread, once through
-//! [`ClusterScheduler::run_parallel`] over the scenario's worker count,
-//! and once through the discrete-event
+//! [`ClusterScheduler::run`] (the kernel loop, every job at t = 0, no
+//! node churn), once through [`ClusterScheduler::run_parallel`] over the
+//! scenario's worker count, and once through
 //! [`ClusterScheduler::run_service`] with the trace's timestamps (and
 //! the fault plan's node-churn schedule) honored in virtual time — and
 //! hands the [`ClusterReport`]s to the invariant checkers. The parallel run is
@@ -41,7 +41,9 @@ pub const LIVENESS_TIMEOUT: Duration = Duration::from_secs(120);
 /// Both loops' results for one scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioRun {
-    /// The single-threaded run over a `TuningModelRepository`.
+    /// The `ClusterScheduler::run` result over a `TuningModelRepository`:
+    /// the kernel loop with every job at t = 0, single-threaded, node
+    /// churn not scheduled.
     pub sequential: ClusterReport,
     /// The multi-worker run over a `SharedRepository`.
     pub parallel: ClusterReport,
@@ -162,8 +164,8 @@ fn run_error(loop_name: &'static str, error: RuntimeError) -> Violation {
     }
 }
 
-/// Run `scenario` through both event loops and return both reports.
-/// Errors (as a [`Violation`]) when either loop refuses the scenario —
+/// Run `scenario` through both loops and return every report.
+/// Errors (as a [`Violation`]) when any run refuses the scenario —
 /// which for a well-formed generated scenario is itself a finding.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
     let fleet = scenario.build_fleet();
@@ -272,8 +274,8 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
             // function of the scenario, and the rerun makes any
             // nondeterminism a first-class observable for the
             // invariant catalog.
-            let first = run_replicated_once(scenario, plan, strategy.as_ref())?;
-            let second = run_replicated_once(scenario, plan, strategy.as_ref())?;
+            let first = run_batch_replicated_once(scenario, plan, strategy.as_ref())?;
+            let second = run_batch_replicated_once(scenario, plan, strategy.as_ref())?;
             let reruns_match = first == second;
             let (model_maps, published, converge, session_states) = first;
             Some(ReplicatedRun {
@@ -364,7 +366,7 @@ type ReplicatedState = (
     Vec<(u32, u32, SessionState)>,
 );
 
-fn run_replicated_once(
+fn run_batch_replicated_once(
     scenario: &Scenario,
     plan: &NetPlan,
     strategy: Option<&RandomSearch>,
@@ -390,7 +392,7 @@ fn run_replicated_once(
     }
 
     // Job i runs against replica i mod N, through the ordinary
-    // scheduler event loop (online calibrations publish *locally*, so
+    // `ClusterScheduler::run` (online calibrations publish *locally*, so
     // cold workloads whose jobs land on different replicas produce the
     // concurrent-publication conflicts reconciliation must resolve).
     for replica in 0..replicas {
@@ -413,9 +415,10 @@ fn run_replicated_once(
                 );
             }
         }
-        sched
-            .run_replicated(&mut set, replica)
-            .map_err(|e| run_error("replicated", e))?;
+        let handle = set
+            .replica_mut(replica)
+            .map_err(|e| run_error("replicated", RuntimeError::Replication(e)))?;
+        sched.run(handle).map_err(|e| run_error("replicated", e))?;
     }
 
     let converge = set

@@ -169,7 +169,7 @@ pub struct FaultPlan {
     /// Injected mid-run workload shifts.
     pub drift_shifts: Vec<DriftShiftFault>,
     /// Node join/drain/fail schedule for the discrete-event service run
-    /// (the sweep loops ignore it). `default` keeps pre-churn replay
+    /// (`run` and `run_parallel` ignore it). `default` keeps pre-churn replay
     /// lines parseable.
     #[serde(default)]
     pub churn: Vec<ChurnEvent>,

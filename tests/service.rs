@@ -1,6 +1,6 @@
 //! Integration tests for the discrete-event cluster service: the
-//! three-way equivalence `run_service` ≡ `run` ≡ `run_parallel` on
-//! zero-interarrival no-churn traces, the churn-shape guarantees
+//! equivalence `run_service` ≡ `run_parallel` on zero-interarrival
+//! no-churn traces, the churn-shape guarantees
 //! (drained/failed nodes' jobs are re-placed, never dropped; failures
 //! truncate running jobs at a phase boundary), and in-loop replication
 //! (gossip while serving, replica crash/restart catch-up, read-repair).
@@ -32,7 +32,7 @@ fn instant_trace(jobs: &[(String, BenchmarkSpec)]) -> Vec<JobArrival> {
 }
 
 /// Every per-job field that must be bit-identical between the service and
-/// a sweep loop, plus the submission-ordered floating-point totals.
+/// the parallel loop, plus the submission-ordered floating-point totals.
 fn assert_reports_bit_identical(service: &ClusterReport, sweep: &ClusterReport, tag: &str) {
     assert_eq!(service.jobs.len(), sweep.jobs.len(), "{tag}");
     for (a, b) in service.jobs.iter().zip(&sweep.jobs) {
@@ -65,12 +65,12 @@ fn assert_reports_bit_identical(service: &ClusterReport, sweep: &ClusterReport, 
     );
 }
 
-/// The tentpole's correctness anchor: for 3 cluster seeds × trace sizes
-/// {16, 256}, a zero-interarrival no-churn trace produces per-job results
-/// bit-identical to both sweep loops — the discrete-event kernel changes
+/// The correctness anchor: for 3 cluster seeds × trace sizes {16, 256},
+/// a zero-interarrival no-churn trace produces per-job results
+/// bit-identical to the parallel loop — the discrete-event kernel changes
 /// *when* things run, never *what* they compute.
 #[test]
-fn service_bit_identical_to_both_sweep_loops() {
+fn service_bit_identical_to_the_parallel_loop() {
     let fallback = taurus_fallback();
     let tuned = toy_bench("tuned-toy", 2e10, 12);
     let untuned = toy_bench("untuned-toy", 1.2e10, 9);
@@ -89,14 +89,6 @@ fn service_bit_identical_to_both_sweep_loops() {
                     (format!("svc{seed:x}-{i}"), bench.clone())
                 })
                 .collect();
-
-            let mut repo = TuningModelRepository::new().with_fallback(fallback);
-            repo.insert(&tuned, &toy_model);
-            let mut seq = ClusterScheduler::new(&cluster).unwrap();
-            for (name, bench) in &queue {
-                seq.submit(name.clone(), bench.clone());
-            }
-            let sequential = seq.run(&mut repo).unwrap();
 
             let shared = SharedRepository::new(8).with_fallback(fallback);
             shared.insert(&tuned, &toy_model);
@@ -118,7 +110,6 @@ fn service_bit_identical_to_both_sweep_loops() {
                 .unwrap();
 
             let tag = format!("seed={seed:#x} jobs={jobs}");
-            assert_reports_bit_identical(&service, &sequential, &format!("{tag} vs run"));
             assert_reports_bit_identical(&service, &parallel, &format!("{tag} vs run_parallel"));
 
             let summary = service.service.as_ref().expect("service summary present");
@@ -134,7 +125,8 @@ fn service_bit_identical_to_both_sweep_loops() {
 
 /// The same equivalence through the online-adaptation admission gate:
 /// calibration leaders, parked same-workload waiters released at the
-/// leader's finish, and published-model hits all land identically.
+/// leader's finish (latch followers in the parallel loop), and
+/// published-model hits all land identically.
 #[test]
 fn service_online_admission_bit_identical() {
     let strategy = RandomSearch::new(12, 3);
@@ -160,13 +152,13 @@ fn service_online_admission_bit_identical() {
             })
             .collect();
 
-        let mut repo = TuningModelRepository::new();
-        repo.insert(&stored, &stored_model);
-        let mut seq = ClusterScheduler::new(&cluster).unwrap().with_online(online);
+        let shared = SharedRepository::new(4);
+        shared.insert(&stored, &stored_model);
+        let mut par = ClusterScheduler::new(&cluster).unwrap().with_online(online);
         for (name, bench) in &queue {
-            seq.submit(name.clone(), bench.clone());
+            par.submit(name.clone(), bench.clone());
         }
-        let sequential = seq.run(&mut repo).unwrap();
+        let parallel = par.run_parallel(&shared, 3).unwrap();
 
         let mut svc_repo = TuningModelRepository::new();
         svc_repo.insert(&stored, &stored_model);
@@ -180,7 +172,7 @@ fn service_online_admission_bit_identical() {
             .unwrap();
 
         let tag = format!("online seed={seed:#x}");
-        assert_reports_bit_identical(&service, &sequential, &tag);
+        assert_reports_bit_identical(&service, &parallel, &tag);
         // Warm-up shape survives the kernel: one calibration for the
         // cold workload, everyone else hits or monitors.
         assert_eq!(service.online_summary().calibrations, 1, "{tag}");
