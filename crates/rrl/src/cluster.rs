@@ -43,9 +43,13 @@
 //!
 //! The run produces per-job `sacct`-style accounting, per-job savings
 //! against a default-configuration run of the same job on the same node,
-//! and an aggregate cluster savings report.
+//! and an aggregate cluster savings report. Within one serving run, that
+//! baseline's job-independent half is simulated once per (node, workload,
+//! iterations) (see [`StaticBaseline`]); each job is charged only its
+//! per-job half.
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 
 use kernels::BenchmarkSpec;
 use obskit::{NoopRecorder, Recorder};
@@ -60,7 +64,7 @@ use crate::repository::{ModelKey, RepositoryHandle, RepositoryStats, ServedModel
 use crate::sacct::{JobAccounting, JobRecord};
 use crate::savings::Savings;
 use crate::service::{JobArrival, RepoAccess, ServiceConfig};
-use crate::session::RuntimeSession;
+use crate::session::{RuntimeSession, StaticBaseline};
 use crate::shard::{CalibrationLatch, CalibrationOutcome, LatchStatus, SharedRepository};
 
 /// Job-to-node placement policy.
@@ -425,7 +429,7 @@ impl<'b> JobDriver<'b> {
     }
 
     /// Finish an active job whose iterations are exhausted: collect its
-    /// accounting, hand any converged model to `publish`, and run the
+    /// accounting, hand any converged model to `publish`, and charge the
     /// default-configuration baseline for the savings comparison. The
     /// baseline runs at the node-clamped default (identical to the
     /// platform default on a full-capability node) and — for an aborted
@@ -434,7 +438,9 @@ impl<'b> JobDriver<'b> {
     pub(crate) fn finish(
         &mut self,
         job: &QueuedJob,
+        node_idx: usize,
         node: &Node,
+        baselines: &mut BaselineMemo,
         publish: &mut dyn FnMut(&BenchmarkSpec, ModelPublication) -> u32,
     ) -> Result<(), RuntimeError> {
         match std::mem::replace(&mut self.state, State::Done) {
@@ -462,10 +468,44 @@ impl<'b> JobDriver<'b> {
         } else {
             &job.bench
         };
-        self.default = Some(
-            RuntimeSession::static_run(&job.name, baseline_bench, node, node_default(node))?.record,
-        );
+        self.default = Some(baselines.record_for(&job.name, baseline_bench, node_idx, node)?);
         Ok(())
+    }
+}
+
+/// One serving run's memo of the job-independent baseline half
+/// ([`StaticBaseline`]) per `(node index, workload fingerprint, phase
+/// iterations)`. A hit charges the job only the per-job half, so its
+/// record — and the node's MSRs and counter-noise stream — are
+/// bit-identical to a fresh [`RuntimeSession::static_run`] at
+/// [`node_default`]. The memo belongs to one run (the kernel loop, or one
+/// `run_parallel` worker) and is dropped with it.
+#[derive(Debug, Default)]
+pub(crate) struct BaselineMemo {
+    baselines: HashMap<(usize, u64, u32), StaticBaseline>,
+}
+
+impl BaselineMemo {
+    /// The default-configuration baseline record of `job` running `bench`
+    /// on node `node_idx` of the run's cluster.
+    pub(crate) fn record_for(
+        &mut self,
+        job: &str,
+        bench: &BenchmarkSpec,
+        node_idx: usize,
+        node: &Node,
+    ) -> Result<JobRecord, RuntimeError> {
+        let fingerprint = bench.fingerprint();
+        let baseline = match self
+            .baselines
+            .entry((node_idx, fingerprint, bench.phase_iterations))
+        {
+            Entry::Occupied(hit) => hit.into_mut(),
+            Entry::Vacant(miss) => {
+                miss.insert(StaticBaseline::simulate(bench, node, node_default(node))?)
+            }
+        };
+        Ok(baseline.record_for(job, node))
     }
 }
 
@@ -1070,6 +1110,8 @@ fn drive_partition<'b>(
     slots: &mut [Slot<'b>],
 ) -> Result<(), (usize, RuntimeError)> {
     let mut done = 0usize;
+    // This worker's own baseline memo: workers never share one.
+    let mut baselines = BaselineMemo::default();
     while done < jobs.len() {
         // Sampled *before* the sweep: a resolution that lands anywhere
         // between here and a park below advances the epoch, so the park
@@ -1171,7 +1213,9 @@ fn drive_partition<'b>(
                     slot.driver
                         .finish(
                             job,
+                            job.node_idx,
                             cluster.node(job.node_idx),
+                            &mut baselines,
                             &mut |bench, publication| {
                                 repo.publish_online(bench, &publication.model, publication.expected)
                             },
@@ -1550,6 +1594,63 @@ mod tests {
         assert!(doomed.default.elapsed_s < healthy.default.elapsed_s);
         let text = report.format_report();
         assert!(text.contains("faults: 1 job aborted"), "{text}");
+    }
+
+    fn record_bits(r: &JobRecord) -> [u64; 3] {
+        [
+            r.job_energy_j.to_bits(),
+            r.cpu_energy_j.to_bits(),
+            r.elapsed_s.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn baseline_memo_hits_equal_fresh_static_runs() {
+        use rand::RngCore;
+        use simnode::Topology;
+        let mut small = Topology::taurus_haswell();
+        small.cores_per_socket = 6;
+        // A noisy node, an exact node and a capability-gapped noisy node.
+        let build = |kind: usize| match kind {
+            0 => Node::new(3, 42),
+            1 => Node::exact(1),
+            _ => Node::new(2, 7).with_topology(small),
+        };
+        let bench = kernels::benchmark("Lulesh").unwrap();
+        let mut truncated = bench.clone();
+        truncated.phase_iterations = 3;
+        // One memo across all three nodes, as in a run.
+        let mut memo = BaselineMemo::default();
+        for kind in 0..3 {
+            let (memoised, fresh) = (build(kind), build(kind));
+            for b in [&bench, &truncated, &bench] {
+                for job in ["a", "job-17", "job-18", "a"] {
+                    let hit = memo.record_for(job, b, kind, &memoised).unwrap();
+                    let want = RuntimeSession::static_run(job, b, &fresh, node_default(&fresh))
+                        .unwrap()
+                        .record;
+                    assert_eq!(
+                        record_bits(&hit),
+                        record_bits(&want),
+                        "node kind {kind}, job {job}, {} iterations",
+                        b.phase_iterations
+                    );
+                }
+            }
+            // One entry per (node, workload, iterations): the truncated
+            // baseline has its own.
+            assert_eq!(memo.baselines.len(), 2 * (kind + 1));
+            // The node saw what fresh static runs do to it.
+            assert_eq!(memoised.msr().write_counts(), fresh.msr().write_counts());
+            assert_eq!(
+                memoised.programmed_frequencies(),
+                fresh.programmed_frequencies()
+            );
+            assert_eq!(
+                memoised.with_rng(|rng| rng.next_u64()),
+                fresh.with_rng(|rng| rng.next_u64())
+            );
+        }
     }
 
     #[test]

@@ -117,6 +117,6 @@ pub use savings::{compare_static_dynamic, BenchmarkComparison, ComparisonError, 
 pub use service::{
     GossipConfig, JobArrival, Percentiles, ReplicationSummary, ServiceConfig, ServiceSummary,
 };
-pub use session::{RegionExit, RuntimeSession};
+pub use session::{RegionExit, RuntimeSession, StaticBaseline};
 pub use shard::{CalibrationLatch, CalibrationOutcome, LatchStatus, SharedRepository};
 pub use tmm::TuningModelManager;

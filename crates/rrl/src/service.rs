@@ -77,8 +77,9 @@ use simkit::{EventSink, Kernel, Process, Time};
 use simnode::Cluster;
 
 use crate::cluster::{
-    assemble_report, estimated_work, start_calibration, start_monitor, start_plain, ClusterReport,
-    ClusterScheduler, EventOutcome, JobDriver, OnlineTuning, Placement, QueuedJob, State,
+    assemble_report, estimated_work, start_calibration, start_monitor, start_plain, BaselineMemo,
+    ClusterReport, ClusterScheduler, EventOutcome, JobDriver, OnlineTuning, Placement, QueuedJob,
+    State,
 };
 use crate::error::RuntimeError;
 use crate::inject::{ChurnEvent, ChurnKind, FaultInjector, ReplicaChurnEvent, ReplicaChurnKind};
@@ -454,6 +455,9 @@ struct ServiceRun<'b, 'r, 'a> {
     /// Workloads whose calibration failed: serve the fallback.
     failed: BTreeSet<ModelKey>,
     churn: Vec<ChurnEvent>,
+    /// The run's baseline memo: each job's default-configuration record
+    /// is the memoised job-independent half plus its own per-job half.
+    baselines: BaselineMemo,
 
     latency: QuantileSketch,
     wait: QuantileSketch,
@@ -637,8 +641,13 @@ impl ServiceRun<'_, '_, '_> {
             let was_online = matches!(self.drivers[i].state, State::Online(_));
             let node_idx = self.placements[i];
             let node = self.cluster.node(node_idx);
-            let Self { drivers, repo, .. } = self;
-            drivers[i].finish(job, node, &mut |bench, publication| {
+            let Self {
+                drivers,
+                repo,
+                baselines,
+                ..
+            } = self;
+            drivers[i].finish(job, node_idx, node, baselines, &mut |bench, publication| {
                 repo.at(node_idx)
                     .expect("serving replica is in range by construction")
                     .publish_online(bench, &publication.model, publication.expected)
@@ -1248,6 +1257,7 @@ impl ClusterScheduler<'_> {
             calibrating: BTreeMap::new(),
             failed: BTreeSet::new(),
             churn,
+            baselines: BaselineMemo::default(),
             latency: QuantileSketch::new(),
             wait: QuantileSketch::new(),
             depth: QuantileSketch::new(),

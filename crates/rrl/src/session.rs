@@ -142,9 +142,7 @@ impl<'a> RuntimeSession<'a> {
         }
         node.apply_frequencies(&initial);
         let job = job.into();
-        let seed = kernels::fnv1a(job.as_bytes())
-            ^ bench.fingerprint()
-            ^ u64::from(node.id()).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let seed = job_seed(&job, bench.fingerprint(), node);
         Ok(Self {
             job,
             bench,
@@ -355,8 +353,8 @@ impl<'a> RuntimeSession<'a> {
         }
         let config = self.pcps.current();
         // Served jobs read no counters: the counter-free entry charges the
-        // same time and energy and leaves the node's noise stream where
-        // `run_region` would.
+        // same time and energy and owes the node the visit's counter
+        // noise, which the next counter read draws first.
         let run = self
             .engine
             .region_cost(&spec.character_at(self.phase_iter), &config, self.node);
@@ -424,16 +422,22 @@ impl<'a> RuntimeSession<'a> {
     /// job identity, so the result does not depend on what other sessions
     /// ran on the node in between.
     pub fn finish(self) -> Result<JobAccounting, RuntimeError> {
+        let seed = self.seed;
+        let mut accounting = self.finish_unperturbed()?;
+        accounting.record.job_energy_j = perturb_hdeem(accounting.record.job_energy_j, seed);
+        Ok(accounting)
+    }
+
+    /// [`Self::finish`] before the job-seeded HDEEM noise draw: the job
+    /// energy is the sensor's noise-free integration of the trace.
+    fn finish_unperturbed(self) -> Result<JobAccounting, RuntimeError> {
         if let Some(open) = &self.open {
             return Err(RuntimeError::RegionStillOpen {
                 open: self.region_name(open).to_string(),
                 event: "finish".to_string(),
             });
         }
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let job_energy_j = HdeemSensor::taurus()
-            .measure_trace(&self.segments, &mut rng)
-            .energy_j;
+        let job_energy_j = HdeemSensor::taurus().integrate(&self.segments).energy_j;
         Ok(JobAccounting {
             job: self.job,
             node_id: self.node.id(),
@@ -454,19 +458,106 @@ impl<'a> RuntimeSession<'a> {
 
     /// Uninstrumented production run at one fixed configuration (the
     /// Table VI baseline): launches at `config`, so no switches occur,
-    /// and returns the accounting record.
+    /// and returns the accounting record. It is the two halves of a
+    /// static run in sequence: [`StaticBaseline::simulate`], then
+    /// [`StaticBaseline::record_for`] the job.
     pub fn static_run(
         job: impl Into<String>,
         bench: &BenchmarkSpec,
         node: &Node,
         config: SystemConfig,
     ) -> Result<JobAccounting, RuntimeError> {
+        let (baseline, mut accounting) = StaticBaseline::run(bench, node, config)?;
+        accounting.job = job.into();
+        accounting.record = baseline.record_for(&accounting.job, node);
+        Ok(accounting)
+    }
+}
+
+/// The job-independent half of [`RuntimeSession::static_run`]: what an
+/// uninstrumented run of a workload at one configuration measures before
+/// the job-seeded HDEEM noise draw. It depends only on the node, the
+/// workload (its phase iterations included) and the configuration, so a
+/// serving loop computes it once per `(node, workload, iterations)` and
+/// charges each job only [`Self::record_for`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StaticBaseline {
+    /// The run's accounting record, with the HDEEM job energy before the
+    /// noise draw.
+    pub unperturbed: JobRecord,
+    /// The configuration the run launches at.
+    pub config: SystemConfig,
+    /// [`BenchmarkSpec::fingerprint`] of the simulated workload, which
+    /// seeds each job's HDEEM noise draw.
+    pub fingerprint: u64,
+    /// Counter-noise skips the run owes the node (one per region visit
+    /// on a noisy node, none on a noiseless one).
+    pub noise_skips: u64,
+}
+
+impl StaticBaseline {
+    /// Simulate the static run of `bench` at `config` on a
+    /// [`Node::twin`] of `node`, so `node` itself is neither programmed
+    /// nor owed any counter noise.
+    pub fn simulate(
+        bench: &BenchmarkSpec,
+        node: &Node,
+        config: SystemConfig,
+    ) -> Result<Self, RuntimeError> {
+        Self::run(bench, node, config).map(|(baseline, _)| baseline)
+    }
+
+    /// [`Self::simulate`], also returning the run's full accounting
+    /// (HDEEM energy unperturbed, job name empty).
+    fn run(
+        bench: &BenchmarkSpec,
+        node: &Node,
+        config: SystemConfig,
+    ) -> Result<(Self, JobAccounting), RuntimeError> {
+        let twin = node.twin();
         let served = ServedModel::fallback(TuningModel::new(&bench.name, &[], config));
-        let mut session = RuntimeSession::start_from(job, bench, node, served, config)?
+        let mut session = RuntimeSession::start_from(String::new(), bench, &twin, served, config)?
             .with_instrumentation(InstrumentationConfig::uninstrumented());
         session.run_to_completion()?;
-        session.finish()
+        let accounting = session.finish_unperturbed()?;
+        let baseline = Self {
+            unperturbed: accounting.record,
+            config,
+            fingerprint: bench.fingerprint(),
+            noise_skips: twin.pending_counter_noise(),
+        };
+        Ok((baseline, accounting))
     }
+
+    /// The per-job half: charge `node` what the run does to it — program
+    /// the launch configuration into its MSRs and owe it the run's
+    /// counter-noise skips — and return the record with the HDEEM noise
+    /// draw seeded from `job`, the workload and the node, exactly as a
+    /// session of that job would draw it.
+    pub fn record_for(&self, job: &str, node: &Node) -> JobRecord {
+        node.apply_frequencies(&self.config);
+        node.defer_counter_noise(self.noise_skips);
+        JobRecord {
+            job_energy_j: perturb_hdeem(
+                self.unperturbed.job_energy_j,
+                job_seed(job, self.fingerprint, node),
+            ),
+            ..self.unperturbed
+        }
+    }
+}
+
+/// The deterministic per-job seed (job name ⊕ workload fingerprint ⊕
+/// node id) behind a session's HDEEM noise and online explore schedule.
+fn job_seed(job: &str, fingerprint: u64, node: &Node) -> u64 {
+    kernels::fnv1a(job.as_bytes())
+        ^ fingerprint
+        ^ u64::from(node.id()).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// The job's HDEEM noise draw applied to an integrated energy.
+fn perturb_hdeem(energy_j: f64, seed: u64) -> f64 {
+    HdeemSensor::taurus().perturb(energy_j, &mut StdRng::seed_from_u64(seed))
 }
 
 #[cfg(test)]
@@ -710,6 +801,63 @@ mod tests {
         assert!(acc.record.elapsed_s > 0.0);
         assert!(acc.record.job_energy_j > acc.record.cpu_energy_j);
         assert_eq!(acc.source, ModelSource::Fallback);
+    }
+
+    #[test]
+    fn static_run_equals_an_uninstrumented_session_at_the_config() {
+        use rand::RngCore;
+        let bench = kernels::benchmark("Lulesh").unwrap();
+        let cfg = SystemConfig::new(24, 2200, 2100);
+        for seed in [0, 5, 77] {
+            let (a, b) = (Node::new(2, seed), Node::new(2, seed));
+            let split = RuntimeSession::static_run("job-9", &bench, &a, cfg).unwrap();
+            let served = ServedModel::fallback(TuningModel::new(&bench.name, &[], cfg));
+            let mut session = RuntimeSession::start_from("job-9", &bench, &b, served, cfg)
+                .unwrap()
+                .with_instrumentation(InstrumentationConfig::uninstrumented());
+            session.run_to_completion().unwrap();
+            let whole = session.finish().unwrap();
+            assert_eq!(
+                split.record.job_energy_j.to_bits(),
+                whole.record.job_energy_j.to_bits()
+            );
+            assert_eq!(split.record, whole.record);
+            assert_eq!(split.job, whole.job);
+            assert_eq!(split.regions, whole.regions);
+            assert_eq!(split.scenario_lookups, whole.scenario_lookups);
+            assert_eq!(split.source, whole.source);
+            // Same MSR writes and the same counter-noise stream after.
+            assert_eq!(a.msr().write_counts(), b.msr().write_counts());
+            assert_eq!(a.with_rng(|r| r.next_u64()), b.with_rng(|r| r.next_u64()));
+        }
+    }
+
+    #[test]
+    fn static_baseline_is_the_job_independent_half() {
+        let bench = kernels::benchmark("miniMD").unwrap();
+        let node = Node::new(4, 3);
+        let cfg = SystemConfig::taurus_default();
+        let baseline = StaticBaseline::simulate(&bench, &node, cfg).unwrap();
+        // Simulating touches nothing on the node.
+        assert_eq!(node.msr().write_counts(), (0, 0));
+        assert_eq!(node.pending_counter_noise(), 0);
+        assert_eq!(
+            baseline.noise_skips,
+            u64::from(bench.phase_iterations) * bench.regions.len() as u64
+        );
+        // The per-job half differs across jobs only in the HDEEM draw.
+        let a = baseline.record_for("a", &node);
+        let b = baseline.record_for("b", &node);
+        assert_eq!(a.elapsed_s, baseline.unperturbed.elapsed_s);
+        assert_eq!(a.cpu_energy_j, b.cpu_energy_j);
+        assert_ne!(a.job_energy_j, b.job_energy_j);
+        assert_eq!(node.pending_counter_noise(), 2 * baseline.noise_skips);
+        // A configuration the node cannot run is an error, as for
+        // `static_run`.
+        assert!(matches!(
+            StaticBaseline::simulate(&bench, &node, SystemConfig::new(48, 2500, 3000)),
+            Err(RuntimeError::UnsupportedConfig { .. })
+        ));
     }
 
     #[test]

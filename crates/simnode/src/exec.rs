@@ -5,7 +5,8 @@
 //! [`ExecutionEngine::region_cost`] returns time, power and energy only,
 //! for callers that never read the counters. Both share one timing and
 //! power implementation and advance the node's counter-noise stream
-//! identically.
+//! identically: `run_region` draws its noise at once, `region_cost`
+//! defers the draw to the node's next counter read.
 //!
 //! Timing follows a roofline-with-overlap model, the analytic core of the
 //! simulator:
@@ -30,7 +31,7 @@ use serde::{Deserialize, Serialize};
 use crate::character::RegionCharacter;
 use crate::config::SystemConfig;
 use crate::node::Node;
-use crate::papi::{derive_counters, skip_counter_noise, CounterValues};
+use crate::papi::{derive_counters, CounterValues};
 use crate::power::{ActivityFactors, PowerBreakdown};
 
 /// Nominal (reference-clock) core frequency in MHz, for `PAPI_REF_CYC`.
@@ -258,16 +259,13 @@ impl ExecutionEngine {
     /// [`Self::run_region`] without the PMU counters, for callers that
     /// read only time, power and energy (served jobs, baselines, energy
     /// sweeps). The result is bit-equal to the corresponding fields of
-    /// `run_region`, and the node's noise stream advances exactly as
-    /// `run_region` would advance it, so a later counter read on the same
-    /// node sees the same noise either way.
+    /// `run_region`. The visit's counter noise is owed to the node
+    /// ([`Node::defer_counter_noise`]) rather than drawn, so the RNG lock
+    /// is not taken; the next counter read on the node draws it first and
+    /// sees the same noise either way.
     pub fn region_cost(&self, c: &RegionCharacter, cfg: &SystemConfig, node: &Node) -> RegionCost {
         let (cost, _) = self.cost_core(c, cfg, node);
-        let noise_sd = node.counter_noise_sd();
-        // A noiseless node draws nothing, so its RNG lock is not taken.
-        if noise_sd > 0.0 {
-            node.with_rng(|rng| skip_counter_noise(rng, noise_sd));
-        }
+        node.defer_counter_noise(1);
         cost
     }
 
@@ -451,6 +449,79 @@ mod tests {
             let b = eng.run_region(&memory_bound(), &cfg, &uncounted).counters;
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn deferred_noise_leaves_the_stream_of_eager_visits() {
+        use rand::RngCore;
+        let eng = ExecutionEngine::new();
+        let deferred = Node::new(3, 42);
+        let eager = Node::new(3, 42);
+        let cfg = SystemConfig::new(12, 1600, 2500);
+        let read = SystemConfig::calibration();
+        // N = 40 visits; every seventh is followed by a counter read.
+        for visit in 0..40u32 {
+            let c = if visit % 2 == 0 {
+                compute_bound()
+            } else {
+                memory_bound()
+            };
+            let cost = eng.region_cost(&c, &cfg, &deferred);
+            let run = eng.run_region(&c, &cfg, &eager);
+            assert_eq!(cost.node_energy_j.to_bits(), run.node_energy_j.to_bits());
+            if visit % 7 == 6 {
+                assert!(deferred.pending_counter_noise() > 0);
+                let a = eng.run_region(&memory_bound(), &read, &deferred).counters;
+                let b = eng.run_region(&memory_bound(), &read, &eager).counters;
+                assert_eq!(a, b, "counter read after visit {visit}");
+                assert_eq!(deferred.pending_counter_noise(), 0, "a read drains");
+            }
+        }
+        assert_eq!(deferred.pending_counter_noise(), 40 % 7);
+        assert_eq!(
+            deferred.with_rng(|rng| rng.next_u64()),
+            eager.with_rng(|rng| rng.next_u64())
+        );
+        assert_eq!(eager.pending_counter_noise(), 0);
+    }
+
+    #[test]
+    fn noiseless_nodes_owe_no_counter_noise() {
+        let eng = ExecutionEngine::new();
+        for n in [Node::exact(0), Node::new(1, 7).with_counter_noise(0.0)] {
+            for _ in 0..10 {
+                eng.region_cost(&memory_bound(), &SystemConfig::taurus_default(), &n);
+                n.defer_counter_noise(5);
+            }
+            assert_eq!(n.pending_counter_noise(), 0);
+        }
+    }
+
+    #[test]
+    fn a_twin_computes_the_same_costs_and_leaves_the_node_alone() {
+        use rand::RngCore;
+        let eng = ExecutionEngine::new();
+        let node = Node::new(5, 9).with_variability(1.04);
+        let reference = Node::new(5, 9).with_variability(1.04);
+        let twin = node.twin();
+        let cfg = SystemConfig::new(20, 1800, 2200);
+        twin.apply_frequencies(&cfg);
+        for _ in 0..3 {
+            let a = eng.region_cost(&memory_bound(), &cfg, &twin);
+            let b = eng.region_cost(&memory_bound(), &cfg, &reference);
+            assert_eq!(a, b);
+        }
+        assert_eq!(twin.id(), node.id());
+        assert_eq!(twin.pending_counter_noise(), 3);
+        assert_eq!(twin.programmed_frequencies(), (1800, 2200));
+        // The node itself was neither programmed nor owed anything.
+        assert_eq!(node.programmed_frequencies(), (2500, 3000));
+        assert_eq!(node.msr().write_counts(), (0, 0));
+        assert_eq!(node.pending_counter_noise(), 0);
+        assert_eq!(
+            node.with_rng(|rng| rng.next_u64()),
+            Node::new(5, 9).with_rng(|rng| rng.next_u64())
+        );
     }
 
     #[test]

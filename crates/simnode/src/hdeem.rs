@@ -65,16 +65,23 @@ impl HdeemSensor {
     }
 
     /// Measure a piecewise-constant power trace of `(power_w, dt_s)`
-    /// segments.
+    /// segments: [`Self::integrate`] then [`Self::perturb`].
     pub fn measure_trace(&self, segments: &[(f64, f64)], rng: &mut StdRng) -> HdeemMeasurement {
+        let mut m = self.integrate(segments);
+        m.energy_j = self.perturb(m.energy_j, rng);
+        m
+    }
+
+    /// The noise-free part of [`Self::measure_trace`]: the energy the
+    /// sensor integrates over its visible, sample-quantised window.
+    pub fn integrate(&self, segments: &[(f64, f64)]) -> HdeemMeasurement {
         let total: f64 = segments.iter().map(|(_, dt)| dt).sum();
         let visible = (total - self.start_delay_s).max(0.0);
 
         if !self.sample_rate_hz.is_finite() {
             // Ideal: continuous integration of the visible window.
-            let energy = integrate(segments, self.start_delay_s, total);
             return HdeemMeasurement {
-                energy_j: energy,
+                energy_j: integrate_window(segments, self.start_delay_s, total),
                 samples: u64::MAX,
                 measured_duration_s: visible,
             };
@@ -83,15 +90,23 @@ impl HdeemSensor {
         let period = 1.0 / self.sample_rate_hz;
         let samples = (visible / period).floor() as u64;
         let measured = samples as f64 * period;
-        let mut energy = integrate(segments, self.start_delay_s, self.start_delay_s + measured);
-        if self.noise_sd > 0.0 && energy > 0.0 {
-            let normal = Normal::new(1.0, self.noise_sd).expect("valid noise");
-            energy *= normal.sample(rng).max(0.0);
-        }
         HdeemMeasurement {
-            energy_j: energy,
+            energy_j: integrate_window(segments, self.start_delay_s, self.start_delay_s + measured),
             samples,
             measured_duration_s: measured,
+        }
+    }
+
+    /// The random part of [`Self::measure_trace`]: apply one ADC noise
+    /// draw from `rng` to an integrated energy. A sampling sensor with
+    /// noise draws once per positive energy; an ideal sensor, a
+    /// noiseless one or a zero energy draws nothing.
+    pub fn perturb(&self, energy_j: f64, rng: &mut StdRng) -> f64 {
+        if self.sample_rate_hz.is_finite() && self.noise_sd > 0.0 && energy_j > 0.0 {
+            let normal = Normal::new(1.0, self.noise_sd).expect("valid noise");
+            energy_j * normal.sample(rng).max(0.0)
+        } else {
+            energy_j
         }
     }
 }
@@ -104,7 +119,7 @@ impl Default for HdeemSensor {
 
 /// Integrate a piecewise-constant power trace between `from` and `to`
 /// seconds (clamped to the trace).
-fn integrate(segments: &[(f64, f64)], from: f64, to: f64) -> f64 {
+fn integrate_window(segments: &[(f64, f64)], from: f64, to: f64) -> f64 {
     let mut t = 0.0;
     let mut energy = 0.0;
     for &(p, dt) in segments {
@@ -164,7 +179,7 @@ mod tests {
 
     #[test]
     fn integrate_partial_window() {
-        let e = integrate(&[(100.0, 1.0), (200.0, 1.0)], 0.5, 1.5);
+        let e = integrate_window(&[(100.0, 1.0), (200.0, 1.0)], 0.5, 1.5);
         assert!((e - (100.0 * 0.5 + 200.0 * 0.5)).abs() < 1e-12);
     }
 
@@ -176,6 +191,24 @@ mod tests {
         assert_eq!(a, b, "same seed must reproduce");
         let exact = 200.0 * 0.995;
         assert!((a.energy_j - exact).abs() / exact < 0.01);
+    }
+
+    #[test]
+    fn measure_trace_is_integrate_then_perturb() {
+        let segments = [(180.0, 0.4), (260.0, 0.7), (90.0, 0.2)];
+        for s in [HdeemSensor::taurus(), HdeemSensor::ideal()] {
+            let measured = s.measure_trace(&segments, &mut rng());
+            let mut split = s.integrate(&segments);
+            let mut r = rng();
+            split.energy_j = s.perturb(split.energy_j, &mut r);
+            assert_eq!(measured.energy_j.to_bits(), split.energy_j.to_bits());
+            assert_eq!(measured.samples, split.samples);
+            assert_eq!(measured.measured_duration_s, split.measured_duration_s);
+        }
+        // The noise is the only random part, and a noisy sensor draws it.
+        let s = HdeemSensor::taurus();
+        assert_ne!(s.perturb(100.0, &mut rng()), 100.0);
+        assert_eq!(s.perturb(0.0, &mut rng()), 0.0);
     }
 
     #[test]

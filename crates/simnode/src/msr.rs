@@ -171,24 +171,25 @@ impl MsrBank {
     }
 
     /// Set the core frequency on *all* cores (what the `cpu_freq` plugin
-    /// does). Returns the transition latency incurred: the per-core writes
-    /// proceed in parallel across cores, so the cost is one core latency,
-    /// and the caller decides how to account it.
+    /// does): one `IA32_PERF_CTL` write per core, counted per core, under
+    /// one lock. Returns the transition latency incurred: the per-core
+    /// writes proceed in parallel across cores, so the cost is one core
+    /// latency, and the caller decides how to account it.
     pub fn set_all_core_mhz(&self, mhz: u32) -> f64 {
-        for core in 0..self.topo.total_cores() {
-            self.write(core, IA32_PERF_CTL, Self::encode_perf_ctl(mhz))
-                .expect("core index in range");
-        }
+        let mut st = self.state.lock();
+        st.perf_ctl.fill(Self::encode_perf_ctl(mhz));
+        st.core_writes += st.perf_ctl.len() as u64;
         CORE_TRANSITION_LATENCY_S
     }
 
-    /// Pin the uncore frequency on all sockets. Returns the transition
-    /// latency incurred (per-socket writes overlap).
+    /// Pin the uncore frequency on all sockets: one
+    /// `MSR_UNCORE_RATIO_LIMIT` write per socket, counted per socket,
+    /// under one lock. Returns the transition latency incurred
+    /// (per-socket writes overlap).
     pub fn set_all_uncore_mhz(&self, mhz: u32) -> f64 {
-        for s in 0..self.topo.sockets {
-            self.write(s, MSR_UNCORE_RATIO_LIMIT, Self::encode_uncore(mhz, mhz))
-                .expect("socket index in range");
-        }
+        let mut st = self.state.lock();
+        st.uncore_ratio.fill(Self::encode_uncore(mhz, mhz));
+        st.socket_writes += st.uncore_ratio.len() as u64;
         UNCORE_TRANSITION_LATENCY_S
     }
 
@@ -269,6 +270,39 @@ mod tests {
         let (c, s) = b.write_counts();
         assert_eq!(c, 24);
         assert_eq!(s, 2);
+    }
+
+    #[test]
+    fn bulk_writes_count_every_unit_and_read_back_on_every_unit() {
+        let mut gapped = Topology::taurus_haswell();
+        gapped.cores_per_socket = 6;
+        for topo in [Topology::taurus_haswell(), gapped] {
+            let b = MsrBank::new(topo);
+            for (call, (core, uncore)) in [(1600, 2300), (2500, 3000), (1200, 1300)]
+                .into_iter()
+                .enumerate()
+            {
+                let calls = call as u64 + 1;
+                b.set_all_core_mhz(core);
+                b.set_all_uncore_mhz(uncore);
+                assert_eq!(
+                    b.write_counts(),
+                    (
+                        calls * u64::from(topo.total_cores()),
+                        calls * u64::from(topo.sockets)
+                    )
+                );
+                for unit in 0..topo.total_cores() {
+                    let v = b.read(unit, IA32_PERF_CTL).unwrap();
+                    assert_eq!(v, MsrBank::encode_perf_ctl(core));
+                }
+                for unit in 0..topo.sockets {
+                    let v = b.read(unit, MSR_UNCORE_RATIO_LIMIT).unwrap();
+                    assert_eq!(v, MsrBank::encode_uncore(uncore, uncore));
+                }
+                assert!(b.read(topo.total_cores(), IA32_PERF_CTL).is_err());
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! normalising by the energy at the calibration frequencies removes the
 //! factor, which is the motivation for training on normalised energy.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -15,6 +17,7 @@ use rand_distr::{Distribution, Normal};
 use crate::config::SystemConfig;
 use crate::freq::FreqDomain;
 use crate::msr::MsrBank;
+use crate::papi::skip_counter_noise;
 use crate::power::{ActivityFactors, PowerBreakdown, PowerModel};
 use crate::topology::Topology;
 
@@ -32,6 +35,9 @@ pub struct Node {
     counter_noise_sd: f64,
     msr: MsrBank,
     rng: Mutex<StdRng>,
+    /// Counter-noise skips owed to `rng` by counter-free region visits,
+    /// drained by the next [`Node::with_rng`].
+    pending_skips: AtomicU64,
 }
 
 impl Node {
@@ -52,6 +58,7 @@ impl Node {
             counter_noise_sd: 0.002,
             msr: MsrBank::new(Topology::taurus_haswell()),
             rng: Mutex::new(rng),
+            pending_skips: AtomicU64::new(0),
         }
     }
 
@@ -71,7 +78,18 @@ impl Node {
     }
 
     /// Override the counter measurement noise.
+    ///
+    /// # Panics
+    /// Panics unless `sd` is finite and non-negative. Noise draws are
+    /// deferred (see [`Node::defer_counter_noise`]), so an invalid sd is
+    /// rejected here rather than at some later, unrelated counter read.
     pub fn with_counter_noise(mut self, sd: f64) -> Self {
+        assert!(
+            sd.is_finite() && sd >= 0.0,
+            "counter noise sd must be finite and non-negative, got {sd}"
+        );
+        // Skips owed under the previous setting are drawn under it.
+        self.with_rng(|_| ());
         self.counter_noise_sd = sd;
         self
     }
@@ -85,6 +103,27 @@ impl Node {
         self.msr = MsrBank::new(topo);
         self.topo = topo;
         self
+    }
+
+    /// A scratch copy for simulating on this node without touching it:
+    /// same id, topology, power model, variability and counter-noise
+    /// setting, so every time, power and energy computed on the twin is
+    /// bit-equal to this node's. The twin has its own MSR bank (at the
+    /// platform default), its own RNG (a fixed seed, not this node's
+    /// stream) and no pending skips, so a what-if run on it reads no
+    /// useful counters but records what it owed the node: the
+    /// frequencies it programmed and the counter-noise skips it deferred.
+    pub fn twin(&self) -> Node {
+        Node {
+            id: self.id,
+            topo: self.topo,
+            power_model: self.power_model.clone(),
+            variability: self.variability,
+            counter_noise_sd: self.counter_noise_sd,
+            msr: MsrBank::new(self.topo),
+            rng: Mutex::new(StdRng::seed_from_u64(0)),
+            pending_skips: AtomicU64::new(0),
+        }
     }
 
     /// Node identifier.
@@ -148,9 +187,37 @@ impl Node {
         (self.msr.core_mhz(), self.msr.uncore_mhz())
     }
 
-    /// Run a closure with this node's RNG (counter noise etc.).
+    /// Owe the node's RNG the counter noise of `visits` region visits
+    /// whose counters nobody reads, without taking the RNG lock. The
+    /// draws are made by the next [`Node::with_rng`], before it hands
+    /// out the stream, so every reader sees the stream that drawing each
+    /// visit's noise eagerly would have left. A noiseless node draws
+    /// nothing and owes nothing.
+    pub fn defer_counter_noise(&self, visits: u64) {
+        if self.counter_noise_sd > 0.0 {
+            self.pending_skips.fetch_add(visits, Ordering::Relaxed);
+        }
+    }
+
+    /// Counter-noise skips owed to the RNG and not yet drained.
+    pub fn pending_counter_noise(&self) -> u64 {
+        self.pending_skips.load(Ordering::Relaxed)
+    }
+
+    /// Run a closure with this node's RNG (counter noise etc.), after
+    /// draining the skips owed by [`Node::defer_counter_noise`].
     pub fn with_rng<T>(&self, f: impl FnOnce(&mut StdRng) -> T) -> T {
-        f(&mut self.rng.lock())
+        let mut rng = self.rng.lock();
+        // Drained under the lock: a skip deferred after the load is
+        // drained by the next reader, as if drawn after this one. The
+        // plain load keeps the common nothing-owed case off the locked
+        // swap.
+        if self.pending_skips.load(Ordering::Relaxed) > 0 {
+            for _ in 0..self.pending_skips.swap(0, Ordering::Relaxed) {
+                skip_counter_noise(&mut rng, self.counter_noise_sd);
+            }
+        }
+        f(&mut rng)
     }
 }
 
@@ -164,6 +231,24 @@ mod tests {
         assert_eq!(n.variability(), 1.0);
         assert_eq!(n.counter_noise_sd(), 0.0);
         assert_eq!(n.id(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "counter noise sd")]
+    fn negative_counter_noise_is_rejected_at_build() {
+        let _ = Node::new(0, 1).with_counter_noise(-0.01);
+    }
+
+    #[test]
+    fn non_finite_counter_noise_is_rejected_at_build() {
+        for sd in [f64::NAN, f64::INFINITY] {
+            let built = std::panic::catch_unwind(|| Node::new(0, 1).with_counter_noise(sd));
+            assert!(built.is_err(), "sd = {sd} was accepted");
+        }
+        assert_eq!(
+            Node::new(0, 1).with_counter_noise(0.0).counter_noise_sd(),
+            0.0
+        );
     }
 
     #[test]

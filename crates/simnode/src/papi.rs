@@ -367,8 +367,9 @@ pub fn derive_counters(
 /// Advance `rng` exactly as [`derive_counters`] does for the same
 /// `noise_sd`, without computing any counter: per counter, the Box–Muller
 /// draw's `u > 0` rejection loop and its second uniform; nothing when
-/// `noise_sd == 0`. Callers that discard the counters use this to keep a
-/// node's noise stream where `derive_counters` would have left it.
+/// `noise_sd == 0`. [`crate::Node::with_rng`] draws one per deferred
+/// counter-free visit, keeping the node's noise stream where
+/// `derive_counters` would have left it.
 pub fn skip_counter_noise(rng: &mut StdRng, noise_sd: f64) {
     if noise_sd > 0.0 {
         // Same validation (and panic) as `derive_counters`.

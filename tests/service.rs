@@ -10,7 +10,8 @@ use dvfs_ufs_tuning::ptf::{RandomSearch, TuningModel};
 use dvfs_ufs_tuning::rrl::{
     ChurnEvent, ChurnKind, ClusterReport, ClusterScheduler, FaultInjector, GossipConfig,
     JobArrival, ModelSource, OnlineConfig, OnlineTuning, ReplicaChurnEvent, ReplicaChurnKind,
-    ReplicaConfig, ReplicaSet, ServiceConfig, SharedRepository, TuningModelRepository,
+    ReplicaConfig, ReplicaSet, RuntimeSession, ServiceConfig, SharedRepository,
+    TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, SystemConfig};
 use testkit::{taurus_fallback, toy_benchmark};
@@ -121,6 +122,60 @@ fn service_bit_identical_to_the_parallel_loop() {
             assert!(text.contains("latency p50/p95/p99"), "{text}");
         }
     }
+}
+
+/// The service memoises each job's default-configuration baseline per
+/// (node, workload, iterations). Resubmitting one application to one
+/// noisy node many times — every job after the first a memo hit — must
+/// still give each job the record a fresh `static_run` of that job gives.
+#[test]
+fn resubmitted_jobs_get_the_baselines_of_fresh_static_runs() {
+    let bench = toy_bench("resubmit-toy", 1.5e10, 6);
+    let model = TuningModel::new(
+        "resubmit-toy",
+        &[("omp parallel:1".into(), SystemConfig::new(24, 2400, 1700))],
+        SystemConfig::new(24, 2400, 1700),
+    );
+    let cluster = Cluster::new(1, 0xD1CE);
+    let trace: Vec<JobArrival> = (0..40)
+        .map(|i| JobArrival {
+            name: format!("again-{i}"),
+            bench: bench.clone(),
+            arrival_s: 0.05 * f64::from(i % 7),
+        })
+        .collect();
+    let mut repo = TuningModelRepository::new().with_fallback(taurus_fallback());
+    repo.insert(&bench, &model);
+    let report = ClusterScheduler::new(&cluster)
+        .unwrap()
+        .run_service(trace, &mut repo, &ServiceConfig::default())
+        .unwrap();
+
+    let fresh = Cluster::new(1, 0xD1CE);
+    assert_eq!(report.jobs.len(), 40);
+    for outcome in &report.jobs {
+        let want = RuntimeSession::static_run(
+            &outcome.job,
+            &bench,
+            fresh.node(0),
+            SystemConfig::taurus_default(),
+        )
+        .unwrap()
+        .record;
+        let bits = |r: &dvfs_ufs_tuning::rrl::JobRecord| {
+            [
+                r.job_energy_j.to_bits(),
+                r.cpu_energy_j.to_bits(),
+                r.elapsed_s.to_bits(),
+            ]
+        };
+        assert_eq!(bits(&outcome.default), bits(&want), "{}", outcome.job);
+    }
+    // Each job drew its own HDEEM noise, not the first job's.
+    assert_ne!(
+        report.jobs[0].default.job_energy_j,
+        report.jobs[1].default.job_energy_j
+    );
 }
 
 /// The same equivalence through the online-adaptation admission gate:
