@@ -1,8 +1,7 @@
 //! The workspace's one FNV-1a implementation.
 //!
-//! Workload fingerprints ([`crate::BenchmarkSpec::fingerprint`]), shard
-//! partitioning in the runtime repository, deterministic job seeds, the
-//! replication digest exchange and testkit's seeded fault decisions all
+//! Workload fingerprints ([`crate::BenchmarkSpec::fingerprint`]),
+//! deterministic job seeds, the replication digest exchange and testkit's seeded fault decisions all
 //! hash through this module, so every consumer agrees bit-for-bit on what
 //! a given byte sequence hashes to. [`fnv1a`] is the one-shot form;
 //! [`Fnv1a`] is the streaming form for hashing composite values without

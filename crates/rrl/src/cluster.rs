@@ -9,37 +9,15 @@
 //! [`crate::session`]), every job's result is bit-identical to running
 //! its session alone.
 //!
-//! Jobs are served by one loop plus a threaded twin:
-//!
-//! * The discrete-event service loop on the `simkit` kernel
-//!   ([`crate::service`]). [`ClusterScheduler::run_service`] and
-//!   [`ClusterScheduler::run_service_replicated`] feed it a timed trace;
-//!   [`ClusterScheduler::run`] feeds it the submission queue with every
-//!   job arriving at t = 0 and no node churn.
-//! * [`ClusterScheduler::run_parallel`] partitions the submitted jobs
-//!   across real worker threads (`rayon::scope`), each worker running an
-//!   interleaved sweep over its own partition while all of them serve
-//!   from one lock-striped [`SharedRepository`]. Cold workloads stay
-//!   correct under concurrency through a [`CalibrationLatch`]:
-//!   leadership of each unseen workload is fixed in submission order
-//!   before the workers start, and same-workload followers block on the
-//!   workload's latch entry until the leader publishes or fails. The
-//!   `cluster_scale` bench times this loop at one and two workers
-//!   against the kernel loop.
-//!
-//! Both produce a [`ClusterReport`] with per-job outcomes in submission
-//! order, and — for the same submissions, seeds and repository contents —
-//! **bit-identical per-job [`JobAccounting`]**: accounting depends only
-//! on the job's identity and its served model, never on which thread or
-//! event ordering executed it. (The one caveat is LRU pressure: when the
-//! repository is actively evicting *during* the run, serve order — which
-//! is nondeterministic across workers — can change which entries survive;
-//! a follower whose leader's publication was already evicted re-calibrates
-//! as [`ClusterScheduler::run`] would, but several same-workload followers
-//! may do so concurrently instead of queuing. Keep the capacity at or
-//! above the distinct-workload count of a wave to retain the guarantee.
-//! Publication *version numbers* may also be assigned in a different
-//! order when several workloads of one application publish concurrently.)
+//! Every entry point serves jobs through one loop: the discrete-event
+//! service loop on the `simkit` kernel ([`crate::service`]).
+//! [`ClusterScheduler::run_service`] and
+//! [`ClusterScheduler::run_service_replicated`] feed it a timed trace;
+//! [`ClusterScheduler::run`] feeds it the submission queue with every job
+//! arriving at t = 0 and no node churn. The [`ClusterReport`] lists
+//! per-job outcomes in submission order; each job's [`JobAccounting`]
+//! depends only on the job's identity and its served model, never on the
+//! event ordering that executed it.
 //!
 //! The run produces per-job `sacct`-style accounting, per-job savings
 //! against a default-configuration run of the same job on the same node,
@@ -49,23 +27,21 @@
 //! per-job half.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use kernels::BenchmarkSpec;
 use obskit::{NoopRecorder, Recorder};
-use parking_lot::Mutex;
 use ptf::{EnergyModel, SearchStrategy, TuningModel};
 use simnode::{Cluster, Node, SystemConfig};
 
 use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
 use crate::online::{DriftEvent, ModelPublication, OnlineConfig, OnlineTuner};
-use crate::repository::{ModelKey, RepositoryHandle, RepositoryStats, ServedModel};
+use crate::repository::{RepositoryHandle, RepositoryStats, ServedModel};
 use crate::sacct::{JobAccounting, JobRecord};
 use crate::savings::Savings;
 use crate::service::{JobArrival, RepoAccess, ServiceConfig};
 use crate::session::{RuntimeSession, StaticBaseline};
-use crate::shard::{CalibrationLatch, CalibrationOutcome, LatchStatus, SharedRepository};
 
 /// Job-to-node placement policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,8 +66,7 @@ pub enum Placement {
 #[derive(Clone, Copy)]
 pub struct OnlineTuning<'a> {
     /// Candidate-generation strategy for calibrations (the design-time
-    /// `SearchStrategy` machinery). `SearchStrategy: Sync`, so one
-    /// strategy serves every worker of a parallel run.
+    /// `SearchStrategy` machinery), shared by every calibration of a run.
     pub strategy: &'a dyn SearchStrategy,
     /// Trained energy model for model-predicting strategies (`None` is
     /// fine for exhaustive/random search).
@@ -171,11 +146,8 @@ pub struct ClusterReport {
     pub repository: RepositoryStats,
     /// Distinct nodes that executed at least one job.
     pub nodes_used: usize,
-    /// Virtual-time service metrics — present for every kernel-loop run
-    /// ([`ClusterScheduler::run`], [`ClusterScheduler::run_service`],
-    /// [`ClusterScheduler::run_service_replicated`]); `None` for
-    /// [`ClusterScheduler::run_parallel`], which has no timeline to
-    /// measure latency on.
+    /// Virtual-time service metrics of the run (every scheduler entry
+    /// point fills them in).
     pub service: Option<crate::service::ServiceSummary>,
 }
 
@@ -288,13 +260,12 @@ impl ClusterReport {
 pub(crate) struct QueuedJob {
     pub(crate) name: String,
     pub(crate) bench: BenchmarkSpec,
-    pub(crate) node_idx: usize,
 }
 
-/// The per-job execution state both event loops drive.
+/// The per-job execution state the event loop drives.
 pub(crate) enum State<'b> {
-    /// Not yet admitted (queued behind a calibration, or not yet reached
-    /// by its worker).
+    /// Not yet admitted (queued on its node, or parked behind a
+    /// calibration).
     Waiting,
     /// An ordinary model-serving session.
     Plain(Box<RuntimeSession<'b>>),
@@ -316,8 +287,7 @@ pub(crate) enum EventOutcome {
 }
 
 /// One job's driver: its state machine plus everything the final report
-/// needs. The kernel and the parallel loops share this completely — only
-/// admission (who serves the model, and when) differs.
+/// needs.
 pub(crate) struct JobDriver<'b> {
     pub(crate) state: State<'b>,
     /// Phase iterations this job will actually run: the benchmark's
@@ -333,7 +303,7 @@ pub(crate) struct JobDriver<'b> {
 impl<'b> JobDriver<'b> {
     /// A driver for `job`, with any injected abort already resolved into
     /// the effective iteration count — a pure function of the job name,
-    /// so both loops (and both runs of a replay) truncate identically.
+    /// so both runs of a replay truncate identically.
     pub(crate) fn new(job: &QueuedJob, faults: Option<&dyn FaultInjector>) -> Self {
         let iterations = faults
             .and_then(|f| f.abort_phase(&job.name))
@@ -478,8 +448,8 @@ impl<'b> JobDriver<'b> {
 /// iterations)`. A hit charges the job only the per-job half, so its
 /// record — and the node's MSRs and counter-noise stream — are
 /// bit-identical to a fresh [`RuntimeSession::static_run`] at
-/// [`node_default`]. The memo belongs to one run (the kernel loop, or one
-/// `run_parallel` worker) and is dropped with it.
+/// [`node_default`]. The memo belongs to one run of the kernel loop and
+/// is dropped with it.
 #[derive(Debug, Default)]
 pub(crate) struct BaselineMemo {
     baselines: HashMap<(usize, u64, u32), StaticBaseline>,
@@ -602,8 +572,8 @@ pub(crate) fn start_monitor<'b>(
 /// injected fault, an exploration-budget failure, a planning failure, or
 /// a capability-gap rejection of the calibration launch — degrade the
 /// leader instead of erroring; the returned flag tells the caller to mark
-/// the workload's calibration *failed* (the kernel loop's `failed` set,
-/// or the parallel latch) so same-workload followers take the fallback path.
+/// the workload's calibration *failed* (the kernel loop's `failed` set) so
+/// same-workload followers take the fallback path.
 pub(crate) fn start_calibration<'b>(
     job: &'b QueuedJob,
     node: &'b Node,
@@ -649,11 +619,9 @@ pub(crate) fn start_calibration<'b>(
 }
 
 /// Fold finished drivers into the aggregate report (submission order, so
-/// the floating-point totals are identical no matter which event loop —
-/// or how many workers — produced the drivers). `placements` gives each
-/// job's final node index: the parallel loop passes the submission-time
-/// placement verbatim, the kernel loop passes its live placements (which
-/// churn re-placement may have moved).
+/// the floating-point totals do not depend on event ordering).
+/// `placements` gives each job's final node index (churn re-placement
+/// may have moved it from its first placement).
 pub(crate) fn assemble_report(
     cluster: &Cluster,
     jobs: &[QueuedJob],
@@ -703,34 +671,6 @@ pub(crate) fn assemble_report(
         nodes_used: nodes_used.iter().filter(|&&used| used).count(),
         service: None,
     }
-}
-
-/// How the parallel event loop will admit one job, decided up front — in
-/// submission order, exactly as the kernel loop admits a t = 0 trace — so
-/// leadership of every cold workload is deterministic no matter which
-/// worker reaches the job first.
-enum Admission {
-    /// Served at classification time (no online tuning, or a failed-path
-    /// serve); start a plain session.
-    Plain(ServedModel),
-    /// Repository hit at classification time; start a drift-monitoring
-    /// tuner.
-    Monitor(ServedModel),
-    /// First submitted job of a cold workload: calibrate, then resolve
-    /// the workload's latch entry.
-    Lead,
-    /// Later job of a cold workload: block on the latch until the leader
-    /// publishes (→ repository hit) or fails (→ calibration fallback).
-    Follow,
-}
-
-/// One job's slot in the parallel run: its pre-decided admission, the
-/// shared driver, and whether it leads a calibration (so an aborting
-/// worker can release its waiters).
-struct Slot<'b> {
-    admission: Option<Admission>,
-    driver: JobDriver<'b>,
-    lead: bool,
 }
 
 /// Schedules and drives many concurrent runtime sessions over a cluster.
@@ -793,8 +733,7 @@ impl<'a> ClusterScheduler<'a> {
     /// accounting and baseline), cold-workload calibrations can be
     /// refused at admission, and monitoring jobs can have drift shifts
     /// injected into their detectors. Every fault is a pure function of
-    /// the job identity, so a faulted parallel run still matches its
-    /// faulted [`ClusterScheduler::run`] counterpart bit for bit. Node
+    /// the job identity, so a faulted run replays bit for bit. Node
     /// churn is honored only by [`ClusterScheduler::run_service`] and
     /// [`ClusterScheduler::run_service_replicated`], replica churn only
     /// by the latter.
@@ -804,10 +743,8 @@ impl<'a> ClusterScheduler<'a> {
         self
     }
 
-    /// Attach a telemetry recorder: the kernel loop (every `run*` entry
-    /// point but [`ClusterScheduler::run_parallel`]) and the parallel
-    /// loop emit metrics, spans, and instants into it (see the `obskit`
-    /// crate). Without this call every run uses
+    /// Attach a telemetry recorder: every `run*` entry point emits
+    /// metrics, spans, and instants into it (see the `obskit` crate). Without this call every run uses
     /// [`NoopRecorder`] — one predictable branch per instrumentation
     /// point, zero allocation — so existing call sites are unaffected.
     /// Recording never changes execution: recorded and unrecorded runs
@@ -870,7 +807,6 @@ impl<'a> ClusterScheduler<'a> {
         self.queue.push(QueuedJob {
             name: name.into(),
             bench,
-            node_idx: idx,
         });
         self.cluster.node(idx).id()
     }
@@ -922,353 +858,6 @@ impl<'a> ClusterScheduler<'a> {
             Vec::new(),
         )
     }
-
-    /// [`ClusterScheduler::run`], but across `workers` real threads over
-    /// a lock-striped [`SharedRepository`].
-    ///
-    /// The submitted jobs are split into contiguous submission-order
-    /// partitions, one per worker; each worker sweeps its partition,
-    /// advancing every active session by one phase per sweep. Three
-    /// mechanisms keep the result equal to [`ClusterScheduler::run`]:
-    ///
-    /// 1. **Up-front admission.** Before the workers start, every job is
-    ///    classified in submission order against the repository — hits
-    ///    are served immediately, and the *first* job of each cold
-    ///    workload is fixed as that workload's calibration leader — so
-    ///    who serves what never depends on thread timing.
-    /// 2. **The calibration latch.** Followers of an in-flight
-    ///    calibration park on their workload's [`CalibrationLatch`] entry
-    ///    (only when their worker has nothing else runnable), and resume
-    ///    as repository hits the moment the leader publishes — or degrade
-    ///    to the calibration fallback if it fails, exactly like the
-    ///    kernel loop's failed-workload path. Leaders never wait, so the
-    ///    wait graph is acyclic and the loop cannot deadlock.
-    /// 3. **Interleaving-independent accounting** (see
-    ///    [`crate::session`]) makes each job's result independent of
-    ///    what runs beside it.
-    ///
-    /// Per-job [`JobAccounting`], savings and drift events are therefore
-    /// bit-identical to [`ClusterScheduler::run`] for the same
-    /// submissions and repository contents — the property the
-    /// `tests/runtime.rs` suite locks in — as long as the repository is
-    /// not LRU-evicting mid-run (see the module docs for the caveat).
-    ///
-    /// `workers` is clamped to `1..=pending()`. Errors mirror
-    /// [`ClusterScheduler::run`]; when several workers fail, the error of the
-    /// earliest-submitted failing job is returned. The queue is consumed
-    /// by the run, including on error.
-    pub fn run_parallel(
-        &mut self,
-        repo: &SharedRepository,
-        workers: usize,
-    ) -> Result<ClusterReport, RuntimeError> {
-        let cluster = self.cluster;
-        let online = self.online;
-        let faults = self.faults;
-        let recorder = self.recorder();
-        let jobs = self.take_queue();
-        if jobs.is_empty() {
-            return Ok(assemble_report(
-                cluster,
-                &jobs,
-                &[],
-                Vec::new(),
-                repo.stats(),
-            ));
-        }
-        let workers = workers.clamp(1, jobs.len());
-
-        // Per-run latch, matching the repository's shard partitioning —
-        // claims must not outlive the run (a workload that failed to
-        // calibrate in this wave is retried in the next).
-        let latch = CalibrationLatch::new(repo.shard_count());
-
-        // 1. Classification: the kernel loop's t = 0 admissions, replayed
-        //    verbatim — submission order against the current repository
-        //    state.
-        let mut slots: Vec<Slot<'_>> = Vec::with_capacity(jobs.len());
-        let mut leaders: BTreeSet<ModelKey> = BTreeSet::new();
-        for job in &jobs {
-            let (admission, lead) = match &online {
-                None => (Admission::Plain(repo.serve(&job.bench)?), false),
-                Some(_) => {
-                    let key = ModelKey::of(&job.bench);
-                    if leaders.contains(&key) {
-                        (Admission::Follow, false)
-                    } else {
-                        match repo.serve_stored(&job.bench)? {
-                            Some(served) => (Admission::Monitor(served), false),
-                            None => {
-                                leaders.insert(key.clone());
-                                latch.begin(&key);
-                                (Admission::Lead, true)
-                            }
-                        }
-                    }
-                }
-            };
-            slots.push(Slot {
-                admission: Some(admission),
-                driver: JobDriver::new(job, faults),
-                lead,
-            });
-        }
-
-        // 2. Fan the partitions out to real threads. Worker errors are
-        //    collected with their global job index so the reported error
-        //    is the earliest-submitted one, independent of thread timing.
-        let chunk = jobs.len().div_ceil(workers);
-        let errors: Mutex<Vec<(usize, RuntimeError)>> = Mutex::new(Vec::new());
-        rayon::scope(|scope| {
-            for (w, (job_chunk, slot_chunk)) in
-                jobs.chunks(chunk).zip(slots.chunks_mut(chunk)).enumerate()
-            {
-                let (errors, latch, online) = (&errors, &latch, &online);
-                scope.spawn(move |_| {
-                    // Release every calibration this partition leads when
-                    // the worker exits for *any* reason — normal return
-                    // (claims already resolved; `fail` is first-writer-
-                    // wins, so published ones are safe), error, or panic
-                    // unwind. Without the drop guard, a panicking leader
-                    // would park its followers in `CalibrationLatch::wait`
-                    // forever: `std::thread::scope` joins every thread
-                    // before re-raising the panic, so the whole run would
-                    // hang instead of surfacing it.
-                    struct ReleaseOnExit<'x> {
-                        latch: &'x CalibrationLatch,
-                        led: Vec<ModelKey>,
-                    }
-                    impl Drop for ReleaseOnExit<'_> {
-                        fn drop(&mut self) {
-                            for key in &self.led {
-                                self.latch.fail(key);
-                            }
-                        }
-                    }
-                    let _release = ReleaseOnExit {
-                        latch,
-                        led: job_chunk
-                            .iter()
-                            .zip(slot_chunk.iter())
-                            .filter(|(_, slot)| slot.lead)
-                            .map(|(job, _)| ModelKey::of(&job.bench))
-                            .collect(),
-                    };
-                    if let Err(at) = drive_partition(
-                        cluster, repo, latch, online, faults, recorder, job_chunk, slot_chunk,
-                    ) {
-                        errors.lock().push((w * chunk + at.0, at.1));
-                    }
-                });
-            }
-        });
-        // The no-orphaned-claims invariant: every claim taken at
-        // classification must be resolved once the workers have exited —
-        // by a publication, a failure, or a worker's drop guard. An
-        // in-flight claim here would have been a future deadlock. Checked
-        // in release builds too (the cost is one pass over the claims):
-        // the soak harness runs `--release`, and a leaked claim whose
-        // followers all lived in the leader's own partition would
-        // otherwise pass silently.
-        assert_eq!(
-            latch.unresolved(),
-            0,
-            "run_parallel left orphaned calibration claims"
-        );
-
-        let mut failures = errors.into_inner();
-        failures.sort_by_key(|(idx, _)| *idx);
-        if let Some((_, error)) = failures.into_iter().next() {
-            return Err(error);
-        }
-        let drivers: Vec<JobDriver<'_>> = slots.into_iter().map(|slot| slot.driver).collect();
-        let placements: Vec<usize> = jobs.iter().map(|j| j.node_idx).collect();
-        Ok(assemble_report(
-            cluster,
-            &jobs,
-            &placements,
-            drivers,
-            repo.stats(),
-        ))
-    }
-}
-
-/// One worker's event loop over its contiguous partition of the
-/// submitted jobs: admit what the classification decided, advance every
-/// active session one phase per sweep, and park on the calibration latch
-/// only when nothing in the partition is runnable. Errors carry the
-/// partition-local index of the failing job.
-#[allow(clippy::too_many_arguments)]
-fn drive_partition<'b>(
-    cluster: &'b Cluster,
-    repo: &SharedRepository,
-    latch: &CalibrationLatch,
-    online: &Option<OnlineTuning<'b>>,
-    faults: Option<&'b dyn FaultInjector>,
-    recorder: &dyn Recorder,
-    jobs: &'b [QueuedJob],
-    slots: &mut [Slot<'b>],
-) -> Result<(), (usize, RuntimeError)> {
-    let mut done = 0usize;
-    // This worker's own baseline memo: workers never share one.
-    let mut baselines = BaselineMemo::default();
-    while done < jobs.len() {
-        // Sampled *before* the sweep: a resolution that lands anywhere
-        // between here and a park below advances the epoch, so the park
-        // returns immediately instead of missing the wakeup.
-        let resolution_epoch = latch.resolution_epoch();
-        let mut progressed = false;
-        let mut blocked: Option<ModelKey> = None;
-        for (i, (slot, job)) in slots.iter_mut().zip(jobs).enumerate() {
-            // Admission: act on the pre-decided classification.
-            if matches!(slot.driver.state, State::Waiting) {
-                let node = cluster.node(job.node_idx);
-                let fail = |e| (i, e);
-                let (state, rejection) =
-                    match slot.admission.take().expect("waiting slot is classified") {
-                        Admission::Plain(served) => start_plain(job, node, served).map_err(fail)?,
-                        Admission::Monitor(served) => {
-                            let config = online.as_ref().expect("monitor implies online").config;
-                            start_monitor(job, node, served, config, faults).map_err(fail)?
-                        }
-                        Admission::Lead => {
-                            let online = online.as_ref().expect("lead implies online");
-                            let key = ModelKey::of(&job.bench);
-                            let (state, rejection, calibration_failed) =
-                                start_calibration(job, node, online, faults, &mut |b| {
-                                    repo.serve_fallback(b)
-                                })
-                                .map_err(fail)?;
-                            if calibration_failed {
-                                // This workload cannot calibrate: release
-                                // the waiters to the fallback path; the
-                                // leader runs degraded (the miss was
-                                // already recorded at classification).
-                                latch.fail(&key);
-                            }
-                            (state, rejection)
-                        }
-                        Admission::Follow => {
-                            let key = ModelKey::of(&job.bench);
-                            match latch.status(&key) {
-                                LatchStatus::InFlight | LatchStatus::Unclaimed => {
-                                    // Leader still calibrating (possibly in
-                                    // this very partition): stay waiting,
-                                    // remember the key in case the whole
-                                    // partition has nothing else to do.
-                                    slot.admission = Some(Admission::Follow);
-                                    blocked.get_or_insert(key);
-                                    continue;
-                                }
-                                LatchStatus::Done(CalibrationOutcome::Published) => {
-                                    match repo.serve_stored(&job.bench).map_err(fail)? {
-                                        Some(served) => {
-                                            let config = online
-                                                .as_ref()
-                                                .expect("follow implies online")
-                                                .config;
-                                            start_monitor(job, node, served, config, faults)
-                                                .map_err(fail)?
-                                        }
-                                        // Published but already LRU-evicted:
-                                        // calibrate afresh, exactly as the
-                                        // kernel loop's admission would on
-                                        // the re-miss (the claim stays resolved,
-                                        // so under churn this heavy several
-                                        // same-workload followers may each
-                                        // re-calibrate rather than queue).
-                                        None => {
-                                            let online =
-                                                online.as_ref().expect("follow implies online");
-                                            let (state, rejection, _refused) = start_calibration(
-                                                job,
-                                                node,
-                                                online,
-                                                faults,
-                                                &mut |b| repo.serve_fallback(b),
-                                            )
-                                            .map_err(fail)?;
-                                            (state, rejection)
-                                        }
-                                    }
-                                }
-                                LatchStatus::Done(CalibrationOutcome::Failed) => {
-                                    // Exactly the kernel loop's failed-
-                                    // workload path: a full serve (miss +
-                                    // fallback).
-                                    let served = repo.serve(&job.bench).map_err(fail)?;
-                                    start_plain(job, node, served).map_err(fail)?
-                                }
-                            }
-                        }
-                    };
-                slot.driver.state = state;
-                slot.driver.rejection = rejection;
-                progressed = true;
-            }
-
-            // Event: one phase per active session per sweep.
-            if slot.driver.is_active() {
-                if slot.driver.finished_iterations() {
-                    slot.driver
-                        .finish(
-                            job,
-                            job.node_idx,
-                            cluster.node(job.node_idx),
-                            &mut baselines,
-                            &mut |bench, publication| {
-                                repo.publish_online(bench, &publication.model, publication.expected)
-                            },
-                        )
-                        .map_err(|e| (i, e))?;
-                    if slot.lead {
-                        let key = ModelKey::of(&job.bench);
-                        if slot.driver.published_version.is_some() {
-                            latch.publish(&key);
-                        } else {
-                            // Converged nothing (abandoned mid-run): the
-                            // abandon already failed the latch; this is
-                            // belt and braces for any other no-publish
-                            // path.
-                            latch.fail(&key);
-                        }
-                    }
-                    done += 1;
-                } else {
-                    // Batched: drain the session's contiguous region
-                    // events and take the phase boundary in one pass.
-                    match slot.driver.advance_phase(&job.bench).map_err(|e| (i, e))? {
-                        EventOutcome::Advanced => {}
-                        EventOutcome::Abandoned => latch.fail(&ModelKey::of(&job.bench)),
-                    }
-                }
-                progressed = true;
-            }
-        }
-
-        if !progressed {
-            // Every remaining job follows a calibration led elsewhere.
-            // Leaders never block, so some resolution is guaranteed to
-            // arrive; park until the latch's resolution epoch moves past
-            // the value sampled before this sweep. Any resolution — on
-            // *any* workload, not just the first blocked one — wakes the
-            // worker, which then re-sweeps the partition to admit every
-            // follower that became runnable. No polling interval, no
-            // missed-wakeup window (a resolution during the sweep
-            // already advanced the epoch, so the wait returns at once).
-            debug_assert!(blocked.is_some(), "no progress implies a blocked follower");
-            if recorder.enabled() {
-                let parked = std::time::Instant::now();
-                latch.wait_resolution(resolution_epoch);
-                let waited = u64::try_from(parked.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                recorder.counter_add("latch.waits", 1);
-                recorder.histogram_record("latch.wait_ns", waited);
-            } else {
-                latch.wait_resolution(resolution_epoch);
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1427,108 +1016,22 @@ mod tests {
 
     #[test]
     fn serve_failure_propagates() {
-        let cluster = Cluster::exact(1);
+        let cluster = Cluster::exact(2);
         let mut repo = TuningModelRepository::new(); // no model, no fallback
         let mut sched = ClusterScheduler::new(&cluster).unwrap();
-        sched.submit("j", toy("t", 1e9));
+        sched.submit("a", toy("t", 1e9));
+        sched.submit("b", toy("t", 1e9));
         assert!(matches!(
             sched.run(&mut repo),
             Err(RuntimeError::NoModel { .. })
         ));
+        assert_eq!(sched.pending(), 0, "queue consumed on error");
+        // The run stopped at the first job's failed serve.
+        assert_eq!(repo.stats().misses, 1);
     }
 
     #[test]
-    fn parallel_run_matches_sequential_serving() {
-        let cluster = Cluster::exact(3);
-        let lulesh = kernels::benchmark("Lulesh").unwrap();
-        let fallback = SystemConfig::new(24, 2400, 1700);
-
-        let mut repo = TuningModelRepository::new().with_fallback(fallback);
-        repo.insert(&lulesh, &lulesh_model());
-        let shared = SharedRepository::new(4).with_fallback(fallback);
-        shared.insert(&lulesh, &lulesh_model());
-
-        let submit = |sched: &mut ClusterScheduler<'_>| {
-            for i in 0..6 {
-                sched.submit(format!("lulesh-{i}"), lulesh.clone());
-            }
-            sched.submit("toy-0", toy("toy", 5e9));
-        };
-        let mut seq = ClusterScheduler::new(&cluster).unwrap();
-        submit(&mut seq);
-        let sequential = seq.run(&mut repo).unwrap();
-
-        let mut par = ClusterScheduler::new(&cluster).unwrap();
-        submit(&mut par);
-        let parallel = par.run_parallel(&shared, 4).unwrap();
-
-        assert_eq!(parallel.jobs.len(), sequential.jobs.len());
-        for (p, s) in parallel.jobs.iter().zip(&sequential.jobs) {
-            assert_eq!(p.job, s.job, "submission order preserved");
-            assert_eq!(p.node_id, s.node_id);
-            assert_eq!(p.accounting.record, s.accounting.record, "{}", p.job);
-            assert_eq!(p.accounting.regions, s.accounting.regions);
-            assert_eq!(p.default, s.default);
-            assert_eq!(p.savings, s.savings);
-        }
-        assert_eq!(parallel.total_tuned, sequential.total_tuned);
-        assert_eq!(parallel.total_default, sequential.total_default);
-        assert_eq!(parallel.aggregate, sequential.aggregate);
-        assert_eq!(parallel.repository.hits, sequential.repository.hits);
-        assert_eq!(parallel.repository.misses, sequential.repository.misses);
-    }
-
-    #[test]
-    fn parallel_online_warm_up_calibrates_once_and_matches_sequential() {
-        use ptf::RandomSearch;
-
-        let cluster = Cluster::exact(3);
-        let bench = kernels::benchmark("miniMD").unwrap();
-        let strategy = RandomSearch::new(16, 7);
-        let online = OnlineTuning {
-            strategy: &strategy,
-            energy_model: None,
-            config: OnlineConfig::default(),
-        };
-
-        let run_seq = || {
-            let mut repo = TuningModelRepository::new();
-            let mut sched = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-            for i in 0..6 {
-                sched.submit(format!("job-{i}"), bench.clone());
-            }
-            sched.run(&mut repo).unwrap()
-        };
-        let sequential = run_seq();
-
-        let shared = SharedRepository::new(4);
-        let mut sched = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-        for i in 0..6 {
-            sched.submit(format!("job-{i}"), bench.clone());
-        }
-        // 3 workers: the leader calibrates on one thread while followers
-        // on the other threads park on the workload's latch entry.
-        let parallel = sched.run_parallel(&shared, 3).unwrap();
-
-        // Warm-up shape: one calibration, five Online hits.
-        let summary = parallel.online_summary();
-        assert_eq!(summary.calibrations, 1);
-        assert_eq!(parallel.repository.misses, 1);
-        assert_eq!(parallel.repository.hits, 5);
-        assert_eq!(parallel.jobs[0].published_version, Some(1));
-
-        // …and bit-identical to the sequential warm-up, job by job.
-        for (p, s) in parallel.jobs.iter().zip(&sequential.jobs) {
-            assert_eq!(p.accounting.record, s.accounting.record, "{}", p.job);
-            assert_eq!(p.accounting.regions, s.accounting.regions);
-            assert_eq!(p.accounting.online, s.accounting.online);
-            assert_eq!(p.savings, s.savings);
-            assert_eq!(p.published_version, s.published_version);
-        }
-    }
-
-    #[test]
-    fn parallel_failed_calibration_degrades_followers_to_fallback() {
+    fn failed_calibration_degrades_followers_to_fallback() {
         use ptf::RandomSearch;
 
         let cluster = Cluster::exact(2);
@@ -1544,12 +1047,13 @@ mod tests {
             config: OnlineConfig::default(),
         };
 
-        let shared = SharedRepository::new(2).with_fallback(SystemConfig::new(24, 2400, 1700));
+        let mut repo =
+            TuningModelRepository::new().with_fallback(SystemConfig::new(24, 2400, 1700));
         let mut sched = ClusterScheduler::new(&cluster).unwrap().with_online(online);
         for i in 0..4 {
             sched.submit(format!("job-{i}"), bench.clone());
         }
-        let report = sched.run_parallel(&shared, 2).unwrap();
+        let report = sched.run(&mut repo).unwrap();
         assert_eq!(report.jobs.len(), 4);
         for job in &report.jobs {
             assert_eq!(
@@ -1558,8 +1062,8 @@ mod tests {
             );
             assert!(job.published_version.is_none());
         }
-        // Leader: one classification miss, no fallback-serve miss;
-        // followers: one miss + fallback each (the sequential counts).
+        // Leader: one admission miss, then a fallback serve with no second
+        // miss; followers: one miss + fallback each.
         assert_eq!(report.repository.misses, 4);
         assert_eq!(report.repository.fallbacks, 4);
     }
@@ -1700,26 +1204,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_empty_queue_reports_nothing() {
+    fn empty_queue_reports_nothing() {
         let cluster = Cluster::exact(2);
-        let shared = SharedRepository::new(2);
+        let mut repo = TuningModelRepository::new();
         let mut sched = ClusterScheduler::new(&cluster).unwrap();
-        let report = sched.run_parallel(&shared, 8).unwrap();
+        let report = sched.run(&mut repo).unwrap();
         assert!(report.jobs.is_empty());
         assert_eq!(report.nodes_used, 0);
-    }
-
-    #[test]
-    fn parallel_serve_failure_reports_earliest_job() {
-        let cluster = Cluster::exact(2);
-        let shared = SharedRepository::new(2); // no models, no fallback
-        let mut sched = ClusterScheduler::new(&cluster).unwrap();
-        sched.submit("a", toy("t", 1e9));
-        sched.submit("b", toy("t", 1e9));
-        assert!(matches!(
-            sched.run_parallel(&shared, 2),
-            Err(RuntimeError::NoModel { .. })
-        ));
-        assert_eq!(sched.pending(), 0, "queue consumed on error");
+        assert_eq!(report.repository.lookups(), 0);
     }
 }

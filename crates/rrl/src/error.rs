@@ -1,17 +1,12 @@
 //! Errors on the user-facing runtime path.
 //!
-//! Every operation of the event-driven runtime API — repository serving
-//! (single-threaded or through the sharded
-//! [`SharedRepository`](crate::SharedRepository)),
+//! Every operation of the event-driven runtime API — repository serving,
 //! [`crate::RuntimeSession`] transitions, [`crate::ClusterScheduler`]
 //! placement and execution — returns `Result<_, RuntimeError>`. Nothing on
 //! this path panics: a corrupt model file, a foreign configuration or a
-//! mis-sequenced region event all surface as values. The parallel event
-//! loop keeps error reporting deterministic too: when several workers
-//! fail, [`ClusterScheduler::run_parallel`](crate::ClusterScheduler::run_parallel)
-//! returns the error of the earliest-*submitted* failing job, not the
-//! first thread to lose the race — and an erroring worker releases every
-//! calibration latch it led so no healthy worker deadlocks behind it.
+//! mis-sequenced region event all surface as values. A scheduler run
+//! stops at the first error its event loop meets, which is a pure
+//! function of the trace, so a failing run fails the same way on replay.
 
 use std::fmt;
 

@@ -4,8 +4,7 @@
 //! unhappy paths — jobs dying mid-run, calibrations that cannot converge,
 //! workloads drifting away from their published expectations — without a
 //! `cfg(test)` fork of either event loop. [`FaultInjector`] is that seam:
-//! one trait object threaded into [`ClusterScheduler::run`] /
-//! [`run_parallel`](crate::ClusterScheduler::run_parallel) (via
+//! one trait object threaded into [`ClusterScheduler::run`] (via
 //! [`ClusterScheduler::with_faults`](crate::ClusterScheduler::with_faults))
 //! and into the [`OnlineTuner`](crate::OnlineTuner), consulted at the
 //! three points where a real cluster misbehaves:
@@ -15,7 +14,7 @@
 //!   abort, savings compared against an equally truncated baseline). A
 //!   calibration *leader* that aborts before converging fails its
 //!   workload's calibration, so same-workload followers degrade to the
-//!   fallback — in both event loops.
+//!   fallback.
 //! * **Calibration failure** — [`FaultInjector::fail_calibration`]: a
 //!   cold workload's calibration is refused at admission, exactly like an
 //!   exploration-budget failure (the leader runs degraded, followers
@@ -29,9 +28,8 @@
 //!   re-calibration, not the ledger.
 //!
 //! Every hook is a pure function of the job identity (name, region,
-//! iteration), never of wall-clock time or thread identity — which is
-//! what keeps a faulted parallel run bit-identical to the same faulted
-//! sequential run, and any faulted run bit-identical to its replay.
+//! iteration), never of wall-clock time — which is what keeps any
+//! faulted run bit-identical to its replay.
 //!
 //! [`ClusterScheduler::run`]: crate::ClusterScheduler::run
 //!
@@ -95,12 +93,10 @@ pub struct ReplicaChurnEvent {
 
 /// Deterministic fault decisions for one scheduler run.
 ///
-/// Implementations must be `Sync` (one injector serves every worker of a
-/// parallel run) and must answer from the *arguments alone* so the two
-/// event loops — and two runs of the same scenario — observe identical
-/// faults. All hooks default to "no fault"; implement only the kinds a
-/// scenario uses.
-pub trait FaultInjector: Sync {
+/// Implementations must answer from the *arguments alone* so two runs of
+/// the same scenario observe identical faults. All hooks default to "no
+/// fault"; implement only the kinds a scenario uses.
+pub trait FaultInjector {
     /// Abort `job` when it reaches this phase iteration: the job runs
     /// `min(abort_phase, bench.phase_iterations)` iterations and then
     /// finishes normally (truncated accounting, truncated baseline).

@@ -14,11 +14,6 @@
 //!   LRU capacity bounding and application-level matching
 //!   ([`MatchPolicy`]), and a calibration fallback (a best-known static
 //!   configuration) when no model matches,
-//! * [`shard`] — the concurrent [`SharedRepository`]: the same storage
-//!   semantics striped across N `RwLock`-guarded shards (partitioned by
-//!   application hash), each keeping its own statistics, plus the
-//!   [`CalibrationLatch`] that gates cold-workload admission in the
-//!   parallel event loop,
 //! * [`session`] — the event-driven [`RuntimeSession`]: one handle per
 //!   job, driven by explicit `region_enter` / `region_exit` /
 //!   `phase_complete` events through the scenario→configuration resolver
@@ -34,15 +29,13 @@
 //!   sessions across the nodes of a simulated cluster (round-robin or
 //!   least-loaded placement), gates cold workloads behind a single
 //!   online calibration when [`OnlineTuning`] is attached, and reports
-//!   per-job and aggregate savings — either through the discrete-event
-//!   kernel loop of [`service`] ([`ClusterScheduler::run`], every job
-//!   arriving at t = 0) or across real worker threads over a
-//!   [`SharedRepository`] ([`ClusterScheduler::run_parallel`]), with
-//!   bit-identical per-job accounting either way,
+//!   per-job and aggregate savings; every entry point runs the
+//!   discrete-event kernel loop of [`service`] ([`ClusterScheduler::run`]
+//!   with every job arriving at t = 0), and each job accounts
+//!   bit-identically to the same job run alone,
 //! * [`inject`] — deterministic fault injection: the [`FaultInjector`]
 //!   seam every scheduler entry point, the online tuner and the simulated
-//!   network
-//!   honor (job aborts at a phase boundary, refused calibrations,
+//!   network honor (job aborts at a phase boundary, refused calibrations,
 //!   injected drift shifts, message delay/drop/duplication/partition),
 //!   so a scenario engine can drive the unhappy paths without forking
 //!   the runtime,
@@ -89,7 +82,6 @@ pub mod sacct;
 pub mod savings;
 pub mod service;
 pub mod session;
-pub mod shard;
 pub mod tmm;
 
 pub use cluster::{
@@ -118,5 +110,4 @@ pub use service::{
     GossipConfig, JobArrival, Percentiles, ReplicationSummary, ServiceConfig, ServiceSummary,
 };
 pub use session::{RegionExit, RuntimeSession, StaticBaseline};
-pub use shard::{CalibrationLatch, CalibrationOutcome, LatchStatus, SharedRepository};
 pub use tmm::TuningModelManager;

@@ -1,7 +1,7 @@
 //! Replicas and the anti-entropy replica set.
 //!
 //! A [`Replica`] is one scheduler-facing serving node: its own
-//! [`SharedRepository`], a replication *log* (the latest winning
+//! [`TuningModelRepository`], a replication *log* (the latest winning
 //! [`ReplicatedModel`] per application — bounded by the application
 //! count, never LRU-evicted, so sync survives repository eviction
 //! pressure), a [`VersionVector`] of the highest stamp observed per
@@ -38,8 +38,9 @@ use simnode::SystemConfig;
 
 use crate::error::RuntimeError;
 use crate::inject::FaultInjector;
-use crate::repository::{ModelSource, RepositoryHandle, RepositoryStats, ServedModel};
-use crate::shard::SharedRepository;
+use crate::repository::{
+    ModelKey, ModelSource, RepositoryHandle, RepositoryStats, ServedModel, TuningModelRepository,
+};
 
 use super::frame::{decode, encode, ConvergeCulprit, Message, NetError, PROTOCOL_VERSION};
 use super::reconcile::{ModelDigest, ReplicatedModel, Stamp, VersionVector};
@@ -49,8 +50,6 @@ use super::transport::{SimTransport, TransportStats};
 /// Construction parameters for every replica of a set.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplicaConfig {
-    /// Lock segments per replica repository.
-    pub shards: usize,
     /// Per-replica repository capacity (0 = unbounded).
     pub capacity: usize,
     /// Calibration fallback served on repository misses.
@@ -64,11 +63,21 @@ pub struct ReplicaConfig {
 impl Default for ReplicaConfig {
     fn default() -> Self {
         Self {
-            shards: 4,
             capacity: 0,
             fallback: None,
             session: SessionConfig::default(),
             max_ticks: 50_000,
+        }
+    }
+}
+
+impl ReplicaConfig {
+    /// A fresh, empty replica repository with this capacity and fallback.
+    fn repository(&self) -> TuningModelRepository {
+        let repo = TuningModelRepository::new().with_capacity(self.capacity);
+        match self.fallback {
+            Some(fallback) => repo.with_fallback(fallback),
+            None => repo,
         }
     }
 }
@@ -97,7 +106,7 @@ pub struct ReplicaStats {
 #[derive(Debug)]
 pub struct Replica {
     id: u32,
-    repo: SharedRepository,
+    repo: TuningModelRepository,
     /// Latest winning entry per application — the sync source of truth.
     log: BTreeMap<String, ReplicatedModel>,
     /// Bumped on every log change; offers snapshot it so a stale empty
@@ -131,13 +140,9 @@ pub struct Replica {
 
 impl Replica {
     fn new(id: u32, peers: impl Iterator<Item = u32>, config: &ReplicaConfig) -> Self {
-        let mut repo = SharedRepository::new(config.shards).with_capacity(config.capacity);
-        if let Some(fallback) = config.fallback {
-            repo = repo.with_fallback(fallback);
-        }
         Self {
             id,
-            repo,
+            repo: config.repository(),
             log: BTreeMap::new(),
             log_rev: 0,
             vv: VersionVector::new(),
@@ -205,12 +210,7 @@ impl Replica {
     /// replay the fleet's winners back in. Only the durable own-version
     /// counter (and the harness-side publication history) survives.
     fn rebuild(&mut self) {
-        let config = self.config;
-        let mut repo = SharedRepository::new(config.shards).with_capacity(config.capacity);
-        if let Some(fallback) = config.fallback {
-            repo = repo.with_fallback(fallback);
-        }
-        self.repo = repo;
+        self.repo = self.config.repository();
         self.log.clear();
         self.log_rev = 0;
         self.vv = VersionVector::new();
@@ -224,7 +224,7 @@ impl Replica {
     }
 
     /// The replica-local repository (read-only view).
-    pub fn repository(&self) -> &SharedRepository {
+    pub fn repository(&self) -> &TuningModelRepository {
         &self.repo
     }
 
@@ -297,9 +297,11 @@ impl Replica {
     /// Install a winning entry: repository, log, vector; dirty gossip.
     fn install(&mut self, entry: ReplicatedModel, source: ModelSource) {
         self.repo.publish_replicated(
-            &entry.application,
-            entry.fingerprint,
-            &entry.model_json,
+            ModelKey {
+                application: entry.application.clone(),
+                fingerprint: entry.fingerprint,
+            },
+            entry.model_json.clone(),
             source,
             entry.expected.clone(),
             entry.stamp.version,

@@ -19,13 +19,9 @@
 //!   deterministic, job-seeded explore schedule. On `finish` the
 //!   converged assignments form a `TuningModel` ready for
 //!   [`publish_online`](crate::TuningModelRepository::publish_online) —
-//!   in a cluster run, the first job of a new workload calibrates and
-//!   every subsequent job hits. Under the parallel scheduler the same
-//!   warm-up is coordinated by the
-//!   [`CalibrationLatch`](crate::CalibrationLatch): the leader is fixed
-//!   in submission order and same-workload followers park on the latch,
-//!   so the calibrate-once/hit-everywhere pattern survives real
-//!   concurrency unchanged.
+//!   in a cluster run, the first job of a new workload calibrates, the
+//!   scheduler parks same-workload jobs until it publishes, and every
+//!   subsequent job hits.
 //! * [`drift`] — the [`DriftDetector`]: on a repository **hit**, an EWMA
 //!   of observed vs. model-predicted region energy flags stale served
 //!   models; under [`DriftPolicy::Recalibrate`] the flagged region

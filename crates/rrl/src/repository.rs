@@ -23,11 +23,9 @@
 //! exact workload fingerprint missed — trading exactness for warm starts,
 //! with the drift detector guarding against the model having gone stale.
 //!
-//! Internally all of the above lives in one `Shard` — map, LRU clock,
-//! version lineage, stats. `TuningModelRepository` is a thin single-shard
-//! wrapper with the classic `&mut self` API; the concurrent
-//! [`SharedRepository`](crate::SharedRepository) spreads the same shard
-//! type across N reader-writer locks for lock-striped parallel serving.
+//! A replica of a replicated set ([`crate::net::Replica`]) serves from
+//! its own `TuningModelRepository`; the [`RepositoryHandle`] trait lets
+//! the cluster kernel loop serve from either without knowing which.
 
 use std::collections::BTreeMap;
 
@@ -160,8 +158,8 @@ impl RepositoryStats {
         }
     }
 
-    /// Component-wise sum — how shard-local statistics aggregate into a
-    /// repository-wide view.
+    /// Component-wise sum — how per-replica statistics aggregate into a
+    /// set-wide view.
     pub(crate) fn merged(&self, other: &RepositoryStats) -> RepositoryStats {
         RepositoryStats {
             hits: self.hits + other.hits,
@@ -195,44 +193,95 @@ pub enum MatchPolicy {
 /// recency stamp.
 #[derive(Debug)]
 pub(crate) struct StoredEntry {
-    pub(crate) json: String,
+    json: String,
     /// Memoized parse of `json`, filled on the first successful serve.
     /// The JSON stays the canonical stored form (what replication ships
     /// and a `SCOREP_RRL_TMM_PATH` file contains); the cache only spares
     /// re-parsing it on every hit. Corrupt entries never fill it, so they
     /// surface [`RuntimeError::Parse`] on every serve.
-    pub(crate) parsed: Option<TuningModel>,
-    pub(crate) provenance: ModelProvenance,
-    pub(crate) last_used: u64,
+    parsed: Option<TuningModel>,
+    provenance: ModelProvenance,
+    last_used: u64,
 }
 
-/// One independently synchronizable slice of the model store: the map,
-/// the per-application version lineage, the LRU clock and bound, the
-/// fallback, the match policy and the serving statistics.
+/// Stores serialized tuning models and serves them per job.
 ///
-/// [`TuningModelRepository`] is exactly one shard behind a `&mut self`
-/// API; [`SharedRepository`](crate::SharedRepository) holds N of them,
-/// each behind its own `parking_lot::RwLock`, partitioned by application
-/// hash so an application's version lineage and its
-/// [`MatchPolicy::Application`] candidates are always shard-local.
+/// Models are kept in their JSON wire form (what a
+/// `SCOREP_RRL_TMM_PATH` file contains), so storage is exactly the
+/// serialisation format and a corrupt entry surfaces as
+/// [`RuntimeError::Parse`] at serve time instead of a panic.
+///
+/// The repository holds the model map, the per-application version
+/// lineage, the LRU clock and bound, the fallback, the match policy and
+/// the serving statistics. A replica of a replicated set
+/// ([`crate::net::Replica`]) serves from one of these too.
 #[derive(Debug, Default)]
-pub(crate) struct Shard {
-    pub(crate) models: BTreeMap<ModelKey, StoredEntry>,
+pub struct TuningModelRepository {
+    models: BTreeMap<ModelKey, StoredEntry>,
     /// Per-application version high-water mark. Kept separately from the
     /// live entries so LRU eviction can never make a version number
     /// regress.
-    pub(crate) versions: BTreeMap<String, u32>,
-    pub(crate) fallback: Option<SystemConfig>,
-    pub(crate) capacity: Option<usize>,
-    pub(crate) policy: MatchPolicy,
-    pub(crate) clock: u64,
-    pub(crate) stats: RepositoryStats,
+    versions: BTreeMap<String, u32>,
+    fallback: Option<SystemConfig>,
+    capacity: Option<usize>,
+    policy: MatchPolicy,
+    clock: u64,
+    stats: RepositoryStats,
 }
 
-impl Shard {
+impl TuningModelRepository {
+    /// Empty repository with no fallback and unbounded capacity.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Serve `config` as a static single-scenario model whenever no
+    /// stored model matches (builder form).
+    #[must_use]
+    pub fn with_fallback(mut self, config: SystemConfig) -> Self {
+        self.fallback = Some(config);
+        self
+    }
+
+    /// Bound the repository to at most `capacity` stored models; storing
+    /// beyond the bound evicts the least-recently-used entry (builder
+    /// form). A capacity of zero is treated as unbounded.
+    #[must_use]
+    pub fn with_capacity(mut self, capacity: usize) -> Self {
+        self.capacity = (capacity > 0).then_some(capacity);
+        self
+    }
+
+    /// Select the serve-time key matching policy (builder form).
+    #[must_use]
+    pub fn with_match_policy(mut self, policy: MatchPolicy) -> Self {
+        self.policy = policy;
+        self
+    }
+
+    /// Set or replace the calibration fallback configuration.
+    pub fn set_fallback(&mut self, config: SystemConfig) {
+        self.fallback = Some(config);
+    }
+
+    /// The configured fallback, if any.
+    pub fn fallback(&self) -> Option<SystemConfig> {
+        self.fallback
+    }
+
+    /// The configured capacity bound, if any.
+    pub fn capacity(&self) -> Option<usize> {
+        self.capacity
+    }
+
+    /// The serve-time key matching policy.
+    pub fn match_policy(&self) -> MatchPolicy {
+        self.policy
+    }
+
     /// Store a serialized model, assign its application-lineage version,
     /// bump the LRU clock and enforce the capacity bound.
-    pub(crate) fn store(
+    fn store(
         &mut self,
         key: ModelKey,
         json: String,
@@ -246,6 +295,45 @@ impl Shard {
         // LRU eviction of the entries themselves.
         let version = self.versions.get(&key.application).map_or(1, |v| v + 1);
         self.versions.insert(key.application.clone(), version);
+        self.install(key, json, source, expected, version);
+        version
+    }
+
+    /// Store an entry whose version was assigned *elsewhere* — by the
+    /// reconciliation layer of a replica set, which stamps publications
+    /// with a per-application version agreed across replicas (see
+    /// [`crate::net::reconcile`]). Unlike a local publication the version
+    /// is not bumped here; the application's high-water mark only
+    /// advances (an out-of-order stale apply can never regress the
+    /// lineage). `source` distinguishes a locally published model
+    /// ([`ModelSource::Online`]) from one applied off the wire
+    /// ([`ModelSource::Replicated`]). Everything else — LRU clock,
+    /// capacity bound, publication counting — behaves exactly like a
+    /// local store.
+    pub(crate) fn publish_replicated(
+        &mut self,
+        key: ModelKey,
+        json: String,
+        source: ModelSource,
+        expected: Vec<(String, f64)>,
+        version: u32,
+    ) {
+        let high = self.versions.get(&key.application).copied().unwrap_or(0);
+        self.versions
+            .insert(key.application.clone(), high.max(version));
+        self.install(key, json, source, expected, version);
+    }
+
+    /// Insert an entry at `version`, bump the LRU clock, count the
+    /// publication and enforce the capacity bound.
+    fn install(
+        &mut self,
+        key: ModelKey,
+        json: String,
+        source: ModelSource,
+        expected: Vec<(String, f64)>,
+        version: u32,
+    ) {
         self.clock += 1;
         self.models.insert(
             key,
@@ -262,7 +350,6 @@ impl Shard {
         );
         self.stats.publications += 1;
         self.enforce_capacity();
-        version
     }
 
     /// Evict least-recently-used entries until the capacity bound holds.
@@ -281,46 +368,11 @@ impl Shard {
         }
     }
 
-    /// Store an entry whose version was assigned *elsewhere* — by the
-    /// reconciliation layer of a replica set, which stamps publications
-    /// with a per-application version agreed across replicas (see
-    /// [`crate::net::reconcile`]). Unlike [`Shard::store`] the version
-    /// is not bumped here; the application's high-water mark only
-    /// advances (an out-of-order stale apply can never regress the
-    /// lineage). Everything else — LRU clock, capacity bound,
-    /// publication counting — behaves exactly like a local store.
-    pub(crate) fn store_replicated(
-        &mut self,
-        key: ModelKey,
-        json: String,
-        source: ModelSource,
-        expected: Vec<(String, f64)>,
-        version: u32,
-    ) {
-        let high = self.versions.get(&key.application).copied().unwrap_or(0);
-        self.versions
-            .insert(key.application.clone(), high.max(version));
-        self.clock += 1;
-        self.models.insert(
-            key,
-            StoredEntry {
-                json,
-                parsed: None,
-                provenance: ModelProvenance {
-                    version,
-                    source,
-                    expected,
-                },
-                last_used: self.clock,
-            },
-        );
-        self.stats.publications += 1;
-        self.enforce_capacity();
-    }
-
-    /// Store the model a design-time session produced (see
-    /// [`TuningModelRepository::publish`]).
-    pub(crate) fn publish(&mut self, advice: &Advice) -> u32 {
+    /// Store the tuning model a design-time session produced, under the
+    /// advice's own application + fingerprint — the design-time → runtime
+    /// handoff. The advice's per-region energies become the entry's drift
+    /// expectations. Returns the assigned version.
+    pub fn publish(&mut self, advice: &Advice) -> u32 {
         let key = ModelKey {
             application: advice.tuning_model.application.clone(),
             fingerprint: advice.benchmark_fingerprint,
@@ -338,9 +390,11 @@ impl Shard {
         )
     }
 
-    /// Store a model the online tuner converged (see
-    /// [`TuningModelRepository::publish_online`]).
-    pub(crate) fn publish_online(
+    /// Store a model the runtime's online tuner converged for `bench`,
+    /// with its measured per-region energy expectations. Returns the
+    /// assigned version (1 for a first publication, otherwise the stored
+    /// version + 1).
+    pub fn publish_online(
         &mut self,
         bench: &BenchmarkSpec,
         model: &TuningModel,
@@ -354,14 +408,41 @@ impl Shard {
         )
     }
 
+    /// Store a tuning model for a benchmark (replaces any previous entry
+    /// for the same workload; no drift expectations are recorded).
+    pub fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
+        self.store(
+            ModelKey::of(bench),
+            model.to_json(),
+            ModelSource::Repository,
+            Vec::new(),
+        );
+    }
+
     /// Whether a stored model matches this benchmark's workload exactly.
-    pub(crate) fn contains(&self, bench: &BenchmarkSpec) -> bool {
+    pub fn contains(&self, bench: &BenchmarkSpec) -> bool {
         self.models.contains_key(&ModelKey::of(bench))
     }
 
-    /// Provenance of the exact-workload entry for this benchmark, if any.
-    pub(crate) fn provenance(&self, bench: &BenchmarkSpec) -> Option<&ModelProvenance> {
+    /// Provenance of the stored entry for this benchmark's exact
+    /// workload, if any.
+    pub fn provenance(&self, bench: &BenchmarkSpec) -> Option<&ModelProvenance> {
         self.models.get(&ModelKey::of(bench)).map(|e| &e.provenance)
+    }
+
+    /// Number of stored models.
+    pub fn len(&self) -> usize {
+        self.models.len()
+    }
+
+    /// True when no models are stored.
+    pub fn is_empty(&self) -> bool {
+        self.models.is_empty()
+    }
+
+    /// Serving statistics so far.
+    pub fn stats(&self) -> RepositoryStats {
+        self.stats
     }
 
     /// The stored key `serve` would answer for `bench` under the current
@@ -384,9 +465,54 @@ impl Shard {
         None
     }
 
-    /// Serve a stored model or record a miss (see
-    /// [`TuningModelRepository::serve_stored`]).
-    pub(crate) fn serve_stored(
+    /// Serve a model for a job about to run `bench`.
+    ///
+    /// A stored model whose key matches (exactly, or at application level
+    /// under [`MatchPolicy::Application`]) is parsed from its serialized
+    /// form and returned with its provenance; the reported
+    /// [`ModelSource`] is the stored entry's origin (design-time
+    /// repository or online tuner). On a miss the calibration fallback —
+    /// if configured — is wrapped as a zero-scenario model whose phase
+    /// configuration is the fallback, so every region of the job runs
+    /// statically at that configuration. Without a fallback the miss is a
+    /// [`RuntimeError::NoModel`].
+    pub fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+        if let Some(served) = self.serve_stored(bench)? {
+            return Ok(served);
+        }
+        self.serve_fallback(bench)
+    }
+
+    /// Serve the calibration fallback for `bench` without a storage
+    /// lookup — the companion to [`Self::serve_stored`] for callers whose
+    /// miss handling ultimately falls back anyway (the cluster
+    /// scheduler's degraded path after a failed online calibration). The
+    /// miss was already recorded by `serve_stored`; this only counts the
+    /// fallback serve. Errors with [`RuntimeError::NoModel`] when no
+    /// fallback is configured.
+    pub fn serve_fallback(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
+        match self.fallback {
+            Some(config) => {
+                self.stats.fallbacks += 1;
+                Ok(ServedModel::fallback(TuningModel::new(
+                    &bench.name,
+                    &[],
+                    config,
+                )))
+            }
+            None => Err(RuntimeError::NoModel {
+                application: bench.name.clone(),
+                fingerprint: bench.fingerprint(),
+            }),
+        }
+    }
+
+    /// Serve a stored model for `bench`, or record a miss and return
+    /// `Ok(None)` without consulting the fallback — the serve primitive
+    /// for callers with their own miss handling (the cluster scheduler's
+    /// online-calibration path). Corrupt entries still surface as
+    /// [`RuntimeError::Parse`].
+    pub fn serve_stored(
         &mut self,
         bench: &BenchmarkSpec,
     ) -> Result<Option<ServedModel>, RuntimeError> {
@@ -419,203 +545,6 @@ impl Shard {
             source,
             provenance,
         }))
-    }
-
-    /// Serve the calibration fallback (see
-    /// [`TuningModelRepository::serve_fallback`]). Counts only the
-    /// fallback serve — never a second miss for a lookup that
-    /// `serve_stored` already recorded.
-    pub(crate) fn serve_fallback(
-        &mut self,
-        bench: &BenchmarkSpec,
-    ) -> Result<ServedModel, RuntimeError> {
-        match self.fallback {
-            Some(config) => {
-                self.stats.fallbacks += 1;
-                Ok(ServedModel::fallback(TuningModel::new(
-                    &bench.name,
-                    &[],
-                    config,
-                )))
-            }
-            None => Err(RuntimeError::NoModel {
-                application: bench.name.clone(),
-                fingerprint: bench.fingerprint(),
-            }),
-        }
-    }
-
-    /// Full serve: stored model or calibration fallback (see
-    /// [`TuningModelRepository::serve`]).
-    pub(crate) fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
-        if let Some(served) = self.serve_stored(bench)? {
-            return Ok(served);
-        }
-        self.serve_fallback(bench)
-    }
-}
-
-/// Stores serialized tuning models and serves them per job.
-///
-/// Models are kept in their JSON wire form (what a
-/// `SCOREP_RRL_TMM_PATH` file contains), so storage is exactly the
-/// serialisation format and a corrupt entry surfaces as
-/// [`RuntimeError::Parse`] at serve time instead of a panic.
-///
-/// This is the single-threaded, `&mut self` entry point — a thin wrapper
-/// over exactly one `Shard`. For lock-striped concurrent serving (the
-/// parallel [`ClusterScheduler`](crate::ClusterScheduler) event loop) use
-/// [`SharedRepository`](crate::SharedRepository), which shares the same
-/// shard implementation and therefore the same semantics.
-#[derive(Debug, Default)]
-pub struct TuningModelRepository {
-    pub(crate) shard: Shard,
-}
-
-impl TuningModelRepository {
-    /// Empty repository with no fallback and unbounded capacity.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Serve `config` as a static single-scenario model whenever no
-    /// stored model matches (builder form).
-    #[must_use]
-    pub fn with_fallback(mut self, config: SystemConfig) -> Self {
-        self.shard.fallback = Some(config);
-        self
-    }
-
-    /// Bound the repository to at most `capacity` stored models; storing
-    /// beyond the bound evicts the least-recently-used entry (builder
-    /// form). A capacity of zero is treated as unbounded.
-    #[must_use]
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
-        self.shard.capacity = (capacity > 0).then_some(capacity);
-        self
-    }
-
-    /// Select the serve-time key matching policy (builder form).
-    #[must_use]
-    pub fn with_match_policy(mut self, policy: MatchPolicy) -> Self {
-        self.shard.policy = policy;
-        self
-    }
-
-    /// Set or replace the calibration fallback configuration.
-    pub fn set_fallback(&mut self, config: SystemConfig) {
-        self.shard.fallback = Some(config);
-    }
-
-    /// The configured fallback, if any.
-    pub fn fallback(&self) -> Option<SystemConfig> {
-        self.shard.fallback
-    }
-
-    /// The configured capacity bound, if any.
-    pub fn capacity(&self) -> Option<usize> {
-        self.shard.capacity
-    }
-
-    /// The serve-time key matching policy.
-    pub fn match_policy(&self) -> MatchPolicy {
-        self.shard.policy
-    }
-
-    /// Store the tuning model a design-time session produced, under the
-    /// advice's own application + fingerprint — the design-time → runtime
-    /// handoff. The advice's per-region energies become the entry's drift
-    /// expectations. Returns the assigned version.
-    pub fn publish(&mut self, advice: &Advice) -> u32 {
-        self.shard.publish(advice)
-    }
-
-    /// Store a model the runtime's online tuner converged for `bench`,
-    /// with its measured per-region energy expectations. Returns the
-    /// assigned version (1 for a first publication, otherwise the stored
-    /// version + 1).
-    pub fn publish_online(
-        &mut self,
-        bench: &BenchmarkSpec,
-        model: &TuningModel,
-        expected: Vec<(String, f64)>,
-    ) -> u32 {
-        self.shard.publish_online(bench, model, expected)
-    }
-
-    /// Store a tuning model for a benchmark (replaces any previous entry
-    /// for the same workload; no drift expectations are recorded).
-    pub fn insert(&mut self, bench: &BenchmarkSpec, model: &TuningModel) {
-        self.shard.store(
-            ModelKey::of(bench),
-            model.to_json(),
-            ModelSource::Repository,
-            Vec::new(),
-        );
-    }
-
-    /// Whether a stored model matches this benchmark's workload exactly.
-    pub fn contains(&self, bench: &BenchmarkSpec) -> bool {
-        self.shard.contains(bench)
-    }
-
-    /// Provenance of the stored entry for this benchmark's exact
-    /// workload, if any.
-    pub fn provenance(&self, bench: &BenchmarkSpec) -> Option<&ModelProvenance> {
-        self.shard.provenance(bench)
-    }
-
-    /// Number of stored models.
-    pub fn len(&self) -> usize {
-        self.shard.models.len()
-    }
-
-    /// True when no models are stored.
-    pub fn is_empty(&self) -> bool {
-        self.shard.models.is_empty()
-    }
-
-    /// Serving statistics so far.
-    pub fn stats(&self) -> RepositoryStats {
-        self.shard.stats
-    }
-
-    /// Serve a model for a job about to run `bench`.
-    ///
-    /// A stored model whose key matches (exactly, or at application level
-    /// under [`MatchPolicy::Application`]) is parsed from its serialized
-    /// form and returned with its provenance; the reported
-    /// [`ModelSource`] is the stored entry's origin (design-time
-    /// repository or online tuner). On a miss the calibration fallback —
-    /// if configured — is wrapped as a zero-scenario model whose phase
-    /// configuration is the fallback, so every region of the job runs
-    /// statically at that configuration. Without a fallback the miss is a
-    /// [`RuntimeError::NoModel`].
-    pub fn serve(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
-        self.shard.serve(bench)
-    }
-
-    /// Serve the calibration fallback for `bench` without a storage
-    /// lookup — the companion to [`Self::serve_stored`] for callers whose
-    /// miss handling ultimately falls back anyway (the cluster
-    /// scheduler's degraded path after a failed online calibration). The
-    /// miss was already recorded by `serve_stored`; this only counts the
-    /// fallback serve. Errors with [`RuntimeError::NoModel`] when no
-    /// fallback is configured.
-    pub fn serve_fallback(&mut self, bench: &BenchmarkSpec) -> Result<ServedModel, RuntimeError> {
-        self.shard.serve_fallback(bench)
-    }
-
-    /// Serve a stored model for `bench`, or record a miss and return
-    /// `Ok(None)` without consulting the fallback — the serve primitive
-    /// for callers with their own miss handling (the cluster scheduler's
-    /// online-calibration path). Corrupt entries still surface as
-    /// [`RuntimeError::Parse`].
-    pub fn serve_stored(
-        &mut self,
-        bench: &BenchmarkSpec,
-    ) -> Result<Option<ServedModel>, RuntimeError> {
-        self.shard.serve_stored(bench)
     }
 }
 
@@ -779,10 +708,90 @@ mod tests {
     }
 
     #[test]
+    fn versions_are_per_application() {
+        let mut repo = TuningModelRepository::new();
+        let a = bench();
+        let mut b = bench();
+        b.name = "beta".into();
+        assert_eq!(repo.publish_online(&a, &model(), vec![]), 1);
+        assert_eq!(repo.publish_online(&b, &model(), vec![]), 1);
+        assert_eq!(repo.publish_online(&a, &model(), vec![]), 2);
+        assert_eq!(repo.provenance(&a).unwrap().version, 2);
+        assert_eq!(repo.provenance(&b).unwrap().version, 1);
+    }
+
+    #[test]
+    fn corrupt_replicated_model_is_a_parse_error_never_a_panic() {
+        // The path wire-applied models take into a replica: malformed
+        // JSON is stored as shipped and must surface at serve time as a
+        // counted `RuntimeError::Parse`, on every serve.
+        let b = bench();
+        let key = ModelKey::of(&b);
+        let mut repo = TuningModelRepository::new().with_fallback(SystemConfig::taurus_default());
+        repo.publish_replicated(
+            key.clone(),
+            "{\"application\": \"miniMD\", \"scen".into(),
+            ModelSource::Replicated,
+            Vec::new(),
+            3,
+        );
+        assert!(repo.contains(&b));
+        for _ in 0..2 {
+            assert!(matches!(repo.serve(&b), Err(RuntimeError::Parse(_))));
+            assert!(matches!(repo.serve_stored(&b), Err(RuntimeError::Parse(_))));
+        }
+        let s = repo.stats();
+        assert_eq!((s.hits, s.misses, s.fallbacks, s.errors), (0, 0, 0, 4));
+        assert_eq!(s.lookups(), 4);
+
+        // A later valid publication of the same key replaces the corrupt
+        // entry and serves normally.
+        repo.publish_replicated(
+            key,
+            model().to_json(),
+            ModelSource::Replicated,
+            Vec::new(),
+            4,
+        );
+        let served = repo.serve(&b).expect("valid entry serves");
+        assert_eq!(served.model, model());
+        assert_eq!(served.source, ModelSource::Replicated);
+        assert_eq!(served.provenance.map(|p| p.version), Some(4));
+        let s = repo.stats();
+        assert_eq!((s.hits, s.errors, s.publications), (1, 4, 2));
+    }
+
+    #[test]
+    fn stale_replicated_apply_never_lowers_the_version_high_water_mark() {
+        let b = bench();
+        let mut repo = TuningModelRepository::new();
+        repo.publish_replicated(
+            ModelKey::of(&b),
+            model().to_json(),
+            ModelSource::Replicated,
+            Vec::new(),
+            5,
+        );
+        // An out-of-order apply of an older stamp installs at its own
+        // version…
+        repo.publish_replicated(
+            ModelKey::of(&b),
+            model().to_json(),
+            ModelSource::Replicated,
+            Vec::new(),
+            3,
+        );
+        assert_eq!(repo.provenance(&b).unwrap().version, 3);
+        // …but the application's lineage stays at 5: the next local
+        // publication is 6, never a reissued 4 or 5.
+        assert_eq!(repo.publish_online(&b, &model(), vec![]), 6);
+    }
+
+    #[test]
     fn corrupt_entry_surfaces_as_parse_error_and_is_counted() {
         let b = bench();
         let mut repo = TuningModelRepository::new();
-        repo.shard.models.insert(
+        repo.models.insert(
             ModelKey::of(&b),
             StoredEntry {
                 json: "{not json".into(),

@@ -20,15 +20,12 @@
 //!
 //! Execution order is a pure function of the trace timestamps and the
 //! kernel's `(deliver_at, seq_id)` rule — no wall clock, no randomness.
-//! Because per-job accounting is interleaving-independent (see
-//! [`crate::session`]), a run over a zero-interarrival trace with no
-//! churn and unbounded slots is **bit-identical per job** to
-//! [`ClusterScheduler::run_parallel`] on the same submissions: arrivals
-//! at `t = 0` are placed and admitted in trace order (same placements as
-//! [`ClusterScheduler::submit`], same serve calls, same calibration
-//! leaders as the parallel loop's up-front classification), and each
-//! session's events then replay its own timeline. The testkit
-//! bit-identity invariant locks this equivalence in.
+//! Arrivals at `t = 0` are placed and admitted in trace order (the same
+//! placements as [`ClusterScheduler::submit`]), and each session's
+//! events then replay its own timeline. Because per-job accounting is
+//! interleaving-independent (see [`crate::session`]), every job accounts
+//! **bit-identically** to the same job run alone with the same served
+//! model; the solo-run oracle tests lock this in.
 //!
 //! ## Churn semantics
 //!
@@ -658,7 +655,7 @@ impl ServiceRun<'_, '_, '_> {
                 self.ensure_round(now, sink);
             }
             // The key is only needed off the hot path: plain serves step
-            // to completion without ever touching the calibration latch.
+            // to completion without touching the calibration bookkeeping.
             if was_online {
                 let key = ModelKey::of(&job.bench);
                 if self.calibrating.contains_key(&key) {
@@ -1126,9 +1123,8 @@ impl ClusterScheduler<'_> {
     ///
     /// On a zero-interarrival trace with no churn and unbounded slots,
     /// this is exactly [`ClusterScheduler::run`] over the same
-    /// submissions, and per-job accounting is bit-identical to
-    /// [`ClusterScheduler::run_parallel`]. The submission queue is not
-    /// consumed — the trace is the workload.
+    /// submissions. The submission queue is not consumed — the trace is
+    /// the workload.
     pub fn run_service(
         &mut self,
         trace: Vec<JobArrival>,
@@ -1187,9 +1183,8 @@ impl ClusterScheduler<'_> {
         self.run_service_impl(trace, RepoAccess::Replicated(net), config, churn)
     }
 
-    /// The kernel loop behind every entry point except
-    /// [`ClusterScheduler::run_parallel`]: `trace` served through `repo`
-    /// under the node `churn` schedule.
+    /// The kernel loop behind every entry point: `trace` served through
+    /// `repo` under the node `churn` schedule.
     pub(crate) fn run_service_impl(
         &mut self,
         trace: Vec<JobArrival>,
@@ -1208,7 +1203,6 @@ impl ClusterScheduler<'_> {
             .map(|a| QueuedJob {
                 name: a.name,
                 bench: a.bench,
-                node_idx: 0,
             })
             .collect();
 

@@ -30,11 +30,7 @@
 //! measurement noise is seeded from the job name, the workload
 //! fingerprint and the node id, so a session multiplexed among many
 //! others by the [`crate::ClusterScheduler`] produces bit-identical
-//! results to the same session run alone. The property holds across
-//! *threads* as well as sweep orders — it is what lets
-//! [`ClusterScheduler::run_parallel`](crate::ClusterScheduler::run_parallel)
-//! drive sessions on concurrent workers and still match the sequential
-//! event loop bit for bit.
+//! results to the same session run alone, whatever the event order.
 
 use kernels::BenchmarkSpec;
 use ptf::TuningModel;

@@ -83,7 +83,8 @@ pub struct GeneratorConfig {
     /// models.
     pub capability_gap_fraction: f64,
     /// Bound the repositories below the publishing-workload count so the
-    /// LRU evicts *mid-run* (the documented bit-identity caveat regime).
+    /// LRU evicts *mid-run* (followers may find their leader's
+    /// publication already evicted and re-calibrate).
     pub eviction_pressure: bool,
     /// Fraction of jobs carrying an injected fault.
     pub fault_fraction: f64,
@@ -92,8 +93,6 @@ pub struct GeneratorConfig {
     /// Include a kernel-catalog benchmark (miniMD) in the population when
     /// it fits the calibration budget.
     pub catalog_workloads: bool,
-    /// Worker threads for the parallel run.
-    pub workers: usize,
     /// Replicas for the replicated-serving execution (0 disables it —
     /// the default — so every pre-existing profile generates byte
     /// for byte what it did before the net layer existed).
@@ -132,7 +131,6 @@ impl Default for GeneratorConfig {
             fault_fraction: 0.2,
             size_jitter: 0.2,
             catalog_workloads: true,
-            workers: 4,
             replicas: 0,
             churn_events: 0,
             inloop_gossip: false,
@@ -197,18 +195,11 @@ impl ScenarioGenerator {
             repository: RepositorySpec {
                 fallback: Some(SystemConfig::new(24, 2400, 1700)),
                 capacity,
-                // Under pressure the bound must bite *globally*: with one
-                // stripe the shared repository's per-shard bound equals
-                // the requested capacity, so eviction pressure is a
-                // property of the scenario, not of the application-hash
-                // spread across stripes.
-                shards: if cfg.eviction_pressure { 1 } else { 4 },
             },
             online: cfg.online.then_some(OnlineSpec {
                 search_pool: 10,
                 search_seed: seed ^ 0x5EED,
             }),
-            workers: cfg.workers.max(1),
             faults,
             net,
         }
@@ -439,10 +430,9 @@ impl ScenarioGenerator {
 
     fn gen_faults(&self, workloads: &[WorkloadSpec], jobs: &[JobSpec], rng: &mut u64) -> FaultPlan {
         let mut plan = FaultPlan::default();
-        // At most one drift shift per *workload*: concurrent same-app
-        // re-publications would assign versions in worker order, which is
-        // the one documented nondeterminism — scenario faults stay inside
-        // the bit-identity contract.
+        // At most one drift shift per *workload*, so each application
+        // re-publishes at most once per run and its version lineage stays
+        // easy to read in a shrunk scenario.
         let mut drifted: Vec<usize> = Vec::new();
         // One calibration-failure injection per workload too (only the
         // leader's admission consults it, but keeping the plan minimal

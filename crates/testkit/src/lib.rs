@@ -23,24 +23,20 @@
 //!   derived deterministically. [`Scenario::to_replay`] turns any
 //!   scenario into a one-line repro.
 //! * [`runner`] — [`run_scenario`]: the same trace through `run` (the
-//!   kernel loop at t = 0), the parallel loop *and* the timed
-//!   discrete-event service run, with a liveness [`Watchdog`] over the
-//!   parallel run — plus, for scenarios
-//!   carrying a [`NetPlan`], twice through the replicated
-//!   [`rrl::ReplicaSet`] path ([`ReplicatedRun`]) and, when the plan
-//!   sets a gossip cadence, twice through the in-loop replicated
-//!   service loop ([`InloopRun`]) with a trailing batch-`converge`
-//!   oracle.
-//! * [`invariants`] — [`check`]: the invariant catalog (seq↔par per-job
-//!   bit-identity, version integrity, latch liveness, the `event_core`
-//!   guarantees of the service run, telemetry neutrality, replica
-//!   convergence/winner/determinism, in-loop convergence against the
-//!   batch oracle; invariants 3 and 8 are retired). Failures carry a
-//!   `testkit::replay("…")` line.
-//! * [`shrink`](mod@shrink) — greedy minimisation of a failing scenario: collapse
-//!   churn, drop jobs, drop faults, strip the net plan, shrink the
-//!   fleet, collapse the workers — while the failure label stays the
-//!   same.
+//!   kernel loop at t = 0) and the timed discrete-event service run —
+//!   plus, for scenarios carrying a [`NetPlan`], twice through the
+//!   replicated [`rrl::ReplicaSet`] path ([`ReplicatedRun`]) and, when
+//!   the plan sets a gossip cadence, twice through the in-loop
+//!   replicated service loop ([`InloopRun`]) with a trailing
+//!   batch-`converge` oracle.
+//! * [`invariants`] — [`check`]: the invariant catalog (version
+//!   integrity, the `event_core` guarantees of the service run,
+//!   telemetry neutrality, replica convergence/winner/determinism,
+//!   in-loop convergence against the batch oracle; invariants 1, 2, 3
+//!   and 8 are retired). Failures carry a `testkit::replay("…")` line.
+//! * [`shrink`](mod@shrink) — greedy minimisation of a failing scenario:
+//!   collapse churn, drop jobs, drop faults, strip the net plan, shrink
+//!   the fleet — while the failure label stays the same.
 //! * [`helpers`] — the shared test builders (toy workloads, the Lulesh
 //!   Table III model, the canonical fallback) deduplicated out of the
 //!   integration tests.
@@ -71,11 +67,9 @@ pub mod scenario;
 pub mod shrink;
 
 pub use generator::{ArrivalModel, GeneratorConfig, ScenarioGenerator};
-pub use helpers::{
-    lulesh_table3_model, repo_with_lulesh, taurus_fallback, toy_benchmark, SpinPermit, SpinPermits,
-};
+pub use helpers::{lulesh_table3_model, repo_with_lulesh, taurus_fallback, toy_benchmark};
 pub use invariants::{check, Failure, Violation};
-pub use runner::{run_scenario, InloopRun, ReplicatedRun, ScenarioRun, Watchdog};
+pub use runner::{run_scenario, InloopRun, ReplicatedRun, ScenarioRun};
 pub use scenario::{
     AbortFault, DriftShiftFault, FaultPlan, FleetSpec, JobSpec, NetPlan, NodeSpec, OnlineSpec,
     PartitionWindow, RepositorySpec, Scenario, StoredModel, WorkloadSpec,

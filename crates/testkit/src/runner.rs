@@ -1,24 +1,18 @@
-//! Executing a [`Scenario`]: the same trace through both loops.
+//! Executing a [`Scenario`]: the same trace through every entry point.
 //!
-//! [`run_scenario`] materialises the fleet and both repository flavours,
-//! submits the arrival trace three times — once through
+//! [`run_scenario`] materialises the fleet and the scenario's repository,
+//! submits the arrival trace twice — once through
 //! [`ClusterScheduler::run`] (the kernel loop, every job at t = 0, no
-//! node churn), once through [`ClusterScheduler::run_parallel`] over the
-//! scenario's worker count, and once through
-//! [`ClusterScheduler::run_service`] with the trace's timestamps (and
-//! the fault plan's node-churn schedule) honored in virtual time — and
-//! hands the [`ClusterReport`]s to the invariant checkers. The parallel run is
-//! guarded by a [`Watchdog`]: a liveness failure (a worker parked forever
-//! on an orphaned calibration claim) aborts the process with the
-//! scenario's replay line instead of hanging the harness.
+//! node churn) and once through [`ClusterScheduler::run_service`] with
+//! the trace's timestamps (and the fault plan's node-churn schedule)
+//! honored in virtual time — reruns the service run with telemetry on,
+//! runs the replicated executions the scenario's [`NetPlan`] asks for,
+//! and hands the [`ClusterReport`]s to the invariant checkers.
 //!
 //! [`ClusterScheduler::run`]: rrl::ClusterScheduler::run
-//! [`ClusterScheduler::run_parallel`]: rrl::ClusterScheduler::run_parallel
 //! [`ClusterScheduler::run_service`]: rrl::ClusterScheduler::run_service
 
 use std::collections::BTreeMap;
-use std::sync::mpsc;
-use std::time::Duration;
 
 use obskit::{Recorder, Registry};
 use ptf::RandomSearch;
@@ -32,21 +26,13 @@ use simnode::Cluster;
 use crate::invariants::Violation;
 use crate::scenario::{NetPlan, Scenario, StoredEntry};
 
-/// Wall-clock bound on one parallel run. The simulated scenarios finish
-/// in well under a second; a run that is still going after this long is
-/// parked on a latch, which is exactly the liveness bug the watchdog
-/// exists to catch.
-pub const LIVENESS_TIMEOUT: Duration = Duration::from_secs(120);
-
-/// Both loops' results for one scenario.
+/// Every run's results for one scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioRun {
     /// The `ClusterScheduler::run` result over a `TuningModelRepository`:
-    /// the kernel loop with every job at t = 0, single-threaded, node
+    /// the kernel loop with every job at t = 0, in submission order, node
     /// churn not scheduled.
     pub sequential: ClusterReport,
-    /// The multi-worker run over a `SharedRepository`.
-    pub parallel: ClusterReport,
     /// The discrete-event service run over its own
     /// `TuningModelRepository`: the same trace driven by arrival
     /// timestamps in virtual time, under the fault plan's node-churn
@@ -134,29 +120,6 @@ pub struct InloopRun {
     pub reruns_match: bool,
 }
 
-/// A process-abort timer for liveness checking: if the guard is still
-/// alive after its timeout, the watchdog prints `context` to stderr and
-/// aborts the process (a deadlocked run cannot be unwound past — abort
-/// with a repro beats hanging CI until its outer timeout). Dropping the
-/// guard disarms it.
-pub struct Watchdog {
-    _cancel: mpsc::Sender<()>,
-}
-
-impl Watchdog {
-    /// Arm a watchdog that aborts with `context` after `timeout`.
-    pub fn arm(timeout: Duration, context: String) -> Self {
-        let (cancel, watched) = mpsc::channel::<()>();
-        std::thread::spawn(move || {
-            if watched.recv_timeout(timeout) == Err(mpsc::RecvTimeoutError::Timeout) {
-                eprintln!("testkit watchdog expired after {timeout:?}: {context}");
-                std::process::abort();
-            }
-        });
-        Self { _cancel: cancel }
-    }
-}
-
 fn run_error(loop_name: &'static str, error: RuntimeError) -> Violation {
     Violation::RunError {
         event_loop: loop_name,
@@ -164,7 +127,7 @@ fn run_error(loop_name: &'static str, error: RuntimeError) -> Violation {
     }
 }
 
-/// Run `scenario` through both loops and return every report.
+/// Run `scenario` through every entry point and return every report.
 /// Errors (as a [`Violation`]) when any run refuses the scenario —
 /// which for a well-formed generated scenario is itself a finding.
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
@@ -197,8 +160,8 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
         sched
     }
 
-    // Probe-measure the stored entries once; both repository flavours
-    // are seeded from the same measurements.
+    // Probe-measure the stored entries once; every repository is seeded
+    // from the same measurements.
     let entries = scenario.stored_entries();
 
     let sequential = {
@@ -211,26 +174,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
         sched
             .run(&mut repo)
             .map_err(|e| run_error("sequential", e))?
-    };
-
-    let shared = scenario.build_shared_from(&entries);
-    let parallel = {
-        let mut sched = configure(
-            ClusterScheduler::new(&fleet).map_err(|e| run_error("parallel", e))?,
-            scenario,
-            strategy.as_ref(),
-        );
-        let _liveness = Watchdog::arm(
-            LIVENESS_TIMEOUT,
-            format!(
-                "parallel run deadlocked (latch liveness violation); reproduce with: \
-                 testkit::replay(r#\"{}\"#)",
-                scenario.to_replay()
-            ),
-        );
-        sched
-            .run_parallel(&shared, scenario.workers)
-            .map_err(|e| run_error("parallel", e))?
     };
 
     let service = run_service_once(scenario, &fleet, &entries, strategy.as_ref(), None)?;
@@ -310,7 +253,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, Violation> {
 
     Ok(ScenarioRun {
         sequential,
-        parallel,
         service,
         replicated,
         inloop,
@@ -374,7 +316,6 @@ fn run_batch_replicated_once(
     let fleet = scenario.build_fleet();
     let replicas = plan.replicas.max(2);
     let config = ReplicaConfig {
-        shards: scenario.repository.shards.max(1),
         capacity: scenario.repository.capacity,
         fallback: scenario.repository.fallback,
         ..ReplicaConfig::default()
@@ -453,7 +394,6 @@ fn run_inloop_once(
     let fleet = scenario.build_fleet();
     let replicas = plan.replicas.max(2);
     let config = ReplicaConfig {
-        shards: scenario.repository.shards.max(1),
         capacity: scenario.repository.capacity,
         fallback: scenario.repository.fallback,
         ..ReplicaConfig::default()
@@ -536,18 +476,4 @@ fn inloop_runs_match(a: &InloopState, b: &InloopState) -> bool {
                 && x.aborted_at == y.aborted_at
         });
     jobs_match && a.0.service == b.0.service && a.1 == b.1 && a.2 == b.2 && a.3 == b.3
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn disarmed_watchdog_does_not_fire() {
-        let guard = Watchdog::arm(Duration::from_millis(5), "must not fire".into());
-        drop(guard);
-        std::thread::sleep(Duration::from_millis(30));
-        // Reaching this line is the assertion: the process was not
-        // aborted by the expired-but-disarmed timer.
-    }
 }

@@ -11,7 +11,7 @@
 use kernels::BenchmarkSpec;
 use ptf::TuningModel;
 use rrl::{
-    ChurnEvent, FaultInjector, ReplicaChurnEvent, RuntimeSession, ServedModel, SharedRepository,
+    ChurnEvent, FaultInjector, ReplicaChurnEvent, RuntimeSession, ServedModel,
     TuningModelRepository,
 };
 use serde::{Deserialize, Serialize};
@@ -112,17 +112,15 @@ pub struct JobSpec {
     pub arrival_s: f64,
 }
 
-/// Repository settings shared by the sequential and the sharded run.
+/// Repository settings shared by every run of the scenario (each
+/// replica of a replicated run gets the same settings).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RepositorySpec {
     /// Calibration fallback served on misses.
     pub fallback: Option<SystemConfig>,
     /// LRU capacity bound (0 = unbounded). A bound below the number of
-    /// publishing workloads forces mid-run eviction — the documented
-    /// regime where sequential↔parallel bit-identity is *not* promised.
+    /// publishing workloads forces mid-run eviction.
     pub capacity: usize,
-    /// Lock stripes of the [`SharedRepository`].
-    pub shards: usize,
 }
 
 /// Online-adaptation settings (attached when present).
@@ -169,12 +167,12 @@ pub struct FaultPlan {
     /// Injected mid-run workload shifts.
     pub drift_shifts: Vec<DriftShiftFault>,
     /// Node join/drain/fail schedule for the discrete-event service run
-    /// (`run` and `run_parallel` ignore it). `default` keeps pre-churn replay
-    /// lines parseable.
+    /// (`run` ignores it). `default` keeps pre-churn replay lines
+    /// parseable.
     #[serde(default)]
     pub churn: Vec<ChurnEvent>,
     /// Replica crash/restart schedule for the in-loop replicated service
-    /// run (every other loop ignores it). `default` keeps pre-in-loop
+    /// run (every other run ignores it). `default` keeps pre-in-loop
     /// replay lines parseable.
     #[serde(default)]
     pub replica_churn: Vec<ReplicaChurnEvent>,
@@ -337,8 +335,6 @@ pub struct Scenario {
     pub repository: RepositorySpec,
     /// Online adaptation, if attached.
     pub online: Option<OnlineSpec>,
-    /// Worker threads for the parallel run.
-    pub workers: usize,
     /// The fault plan.
     pub faults: FaultPlan,
     /// Replicated serving, if exercised: replica count plus the seeded
@@ -348,8 +344,8 @@ pub struct Scenario {
     pub net: Option<NetPlan>,
 }
 
-/// A model + optional measured expectations, ready to pre-seed either
-/// repository flavour.
+/// A model + optional measured expectations, ready to pre-seed a
+/// repository.
 pub(crate) struct StoredEntry {
     pub bench: BenchmarkSpec,
     pub model: TuningModel,
@@ -375,17 +371,13 @@ impl Scenario {
         self.fleet.build()
     }
 
-    /// Whether the repository bound can evict mid-run — the regime where
-    /// sequential↔parallel bit-identity is documented *not* to hold (the
-    /// invariant checker skips it and checks the weaker liveness +
-    /// double-entry + version properties instead).
+    /// Whether the repository bound can evict mid-run, so that a
+    /// follower may find its leader's publication already gone.
     ///
     /// A bound that can never bite is *not* pressure: the comparison is
     /// against the worst-case entry population (pre-stored models plus,
     /// when online, one publication per cold workload — drift
-    /// re-publications replace in place), and against the shared
-    /// repository's *per-shard* bound, since a skewed application-hash
-    /// spread can evict before the global total is reached.
+    /// re-publications replace in place).
     pub fn eviction_pressure(&self) -> bool {
         if self.repository.capacity == 0 {
             return false;
@@ -400,16 +392,12 @@ impl Scenario {
         } else {
             stored
         };
-        let per_shard = self
-            .repository
-            .capacity
-            .div_ceil(self.repository.shards.max(1));
-        per_shard < publishable
+        self.repository.capacity < publishable
     }
 
     /// The pre-seeded entries, with expectations measured (for
     /// [`StoredModel::Calibrated`]) by a probe run on a golden node —
-    /// identical for both repository flavours.
+    /// identical for every repository the runner builds.
     pub(crate) fn stored_entries(&self) -> Vec<StoredEntry> {
         let probe_node = Node::exact(0);
         self.workloads
@@ -428,13 +416,13 @@ impl Scenario {
             .collect()
     }
 
-    /// Build and pre-seed the single-threaded repository.
+    /// Build and pre-seed the scenario's repository.
     pub fn build_repository(&self) -> TuningModelRepository {
         self.build_repository_from(&self.stored_entries())
     }
 
     /// [`Scenario::build_repository`] seeded from pre-measured entries —
-    /// so a runner seeding *both* repository flavours pays the probe
+    /// so a runner seeding several repositories pays the probe
     /// measurements once.
     pub(crate) fn build_repository_from(&self, entries: &[StoredEntry]) -> TuningModelRepository {
         let mut repo = TuningModelRepository::new().with_capacity(self.repository.capacity);
@@ -450,30 +438,6 @@ impl Scenario {
             }
         }
         repo
-    }
-
-    /// Build and pre-seed the lock-striped repository with identical
-    /// contents.
-    pub fn build_shared(&self) -> SharedRepository {
-        self.build_shared_from(&self.stored_entries())
-    }
-
-    /// [`Scenario::build_shared`] seeded from pre-measured entries.
-    pub(crate) fn build_shared_from(&self, entries: &[StoredEntry]) -> SharedRepository {
-        let mut shared =
-            SharedRepository::new(self.repository.shards).with_capacity(self.repository.capacity);
-        if let Some(fb) = self.repository.fallback {
-            shared = shared.with_fallback(fb);
-        }
-        for entry in entries {
-            match &entry.expected {
-                Some(expected) => {
-                    shared.publish_online(&entry.bench, &entry.model, expected.clone());
-                }
-                None => shared.insert(&entry.bench, &entry.model),
-            }
-        }
-        shared
     }
 
     /// Drop workloads no remaining job references (remapping job indices)
@@ -602,10 +566,8 @@ mod tests {
             repository: RepositorySpec {
                 fallback: Some(SystemConfig::new(24, 2400, 1700)),
                 capacity: 0,
-                shards: 2,
             },
             online: None,
-            workers: 2,
             faults: FaultPlan {
                 aborts: vec![AbortFault {
                     job: "j1".into(),
@@ -639,6 +601,27 @@ mod tests {
         let back = Scenario::from_replay(&legacy).expect("legacy line parses");
         assert_eq!(back.net, None);
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn replay_lines_with_worker_and_shard_keys_still_replay() {
+        // Replay lines written before the threaded loop and the striped
+        // repository were retired carry `workers` and `repository.shards`;
+        // the keys are ignored and the line replays through the catalog.
+        let s = tiny_scenario();
+        let line = s.to_replay();
+        let legacy = line.replacen('{', "{\"workers\":2,", 1).replacen(
+            "\"repository\":{",
+            "\"repository\":{\"shards\":2,",
+            1,
+        );
+        assert!(legacy.contains("\"workers\":2") && legacy.contains("\"shards\":2"));
+        assert_eq!(
+            Scenario::from_replay(&legacy).expect("legacy line parses"),
+            s
+        );
+        let run = crate::replay(&legacy).unwrap_or_else(|failure| panic!("{failure}"));
+        assert_eq!(run.sequential.jobs.len(), s.jobs.len());
     }
 
     #[test]
@@ -832,11 +815,9 @@ mod tests {
     fn repositories_seed_identically() {
         let s = tiny_scenario();
         let repo = s.build_repository();
-        let shared = s.build_shared();
         assert_eq!(repo.len(), 1);
-        assert_eq!(shared.len(), 1);
         assert!(repo.contains(&s.workloads[0].bench));
-        assert!(shared.contains(&s.workloads[0].bench));
+        assert_eq!(repo.stats(), s.build_repository().stats());
         assert!(!s.eviction_pressure());
     }
 

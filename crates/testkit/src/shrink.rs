@@ -7,14 +7,15 @@
 //! stages reason over a stable fleet), job-trace chunks (largest first,
 //! ddmin style), individual faults, the net plan
 //! (wholesale, then partition windows and fault knobs one at a time),
-//! trailing fleet nodes, and the worker count. After every accepted reduction the
+//! and trailing fleet nodes. After every accepted reduction the
 //! scenario is [pruned](Scenario::prune) so unreferenced workloads and
 //! stale faults disappear too. The result is a minimal scenario plus its
 //! one-line `testkit::replay("…")` repro.
 //!
 //! The predicate returns the violation *label* so the shrinker only
 //! accepts reductions that still fail **the same way** — a reduction that
-//! trades a bit-identity violation for, say, a run error is rejected.
+//! trades a version-integrity violation for, say, a run error is
+//! rejected.
 
 use crate::scenario::{FaultPlan, Scenario};
 
@@ -243,15 +244,6 @@ pub fn shrink(scenario: &Scenario, fails: &dyn Fn(&Scenario) -> Option<String>) 
             break;
         }
 
-        // 4. Collapse the worker count.
-        if current.workers > 1 {
-            let mut candidate = current.clone();
-            candidate.workers = 1;
-            if try_accept(&mut current, &mut violation, &mut attempts, candidate) {
-                progressed = true;
-            }
-        }
-
         if !progressed {
             break;
         }
@@ -300,7 +292,6 @@ mod tests {
         assert_eq!(shrunk.scenario.jobs.len(), 1, "one culprit job survives");
         assert_eq!(shrunk.scenario.net, None, "irrelevant net plan dropped");
         assert_eq!(shrunk.scenario.fleet.nodes.len(), 1);
-        assert_eq!(shrunk.scenario.workers, 1);
         assert_eq!(
             shrunk.scenario.workloads.len(),
             1,

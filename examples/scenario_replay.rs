@@ -2,8 +2,8 @@
 //!
 //! 1. generate a seeded heterogeneous scenario (bursty arrivals, a
 //!    capability-gapped fleet, injected faults),
-//! 2. run it through *both* cluster event loops and the full invariant
-//!    catalog (`testkit::check`),
+//! 2. run it through the cluster kernel loop (as `run` and as the timed
+//!    service run) and the full invariant catalog (`testkit::check`),
 //! 3. print the cluster report and the one-line replay,
 //! 4. prove the replay line reproduces the run bit-identically.
 //!
@@ -46,9 +46,8 @@ fn main() {
         scenario.faults.drift_shifts.len(),
     );
 
-    // Run both event loops and the invariant catalog: sequential↔parallel
-    // per-job bit-identity, statistics double-entry, version integrity,
-    // latch liveness.
+    // Run the scenario and the invariant catalog: version integrity, the
+    // service run's event-core guarantees and telemetry neutrality.
     let run = match testkit::check(&scenario) {
         Ok(run) => run,
         Err(failure) => {
@@ -60,12 +59,12 @@ fn main() {
         }
     };
 
-    println!("{}", run.parallel.format_report());
-    let online = run.parallel.online_summary();
+    println!("{}", run.sequential.format_report());
+    let online = run.sequential.online_summary();
     println!(
-        "invariants held: {} jobs bit-identical across both event loops, \
-         {} calibrations, {} publications, stats double-entry clean\n",
-        run.parallel.jobs.len(),
+        "invariants held: {} jobs, {} calibrations, {} publications, \
+         versions in submission order, service run quiesced\n",
+        run.sequential.jobs.len(),
         online.calibrations,
         online.publications,
     );
@@ -75,10 +74,10 @@ fn main() {
     println!("replay line ({} bytes)", line.len());
     let replayed = testkit::replay(&line).expect("replay passes the catalog");
     assert_eq!(
-        replayed.parallel.aggregate, run.parallel.aggregate,
+        replayed.sequential.aggregate, run.sequential.aggregate,
         "replay must be bit-identical"
     );
-    for (a, b) in replayed.parallel.jobs.iter().zip(&run.parallel.jobs) {
+    for (a, b) in replayed.sequential.jobs.iter().zip(&run.sequential.jobs) {
         assert_eq!(a.accounting.record, b.accounting.record, "{}", a.job);
     }
     println!("replayed: bit-identical to the original run ✓");

@@ -4,10 +4,13 @@
 //! online-tuning error paths.
 
 use dvfs_ufs_tuning::kernels;
-use dvfs_ufs_tuning::ptf::{ExhaustiveSearch, RandomSearch, TuningSession};
+use dvfs_ufs_tuning::ptf::{
+    ExhaustiveSearch, RandomSearch, SearchStrategy, TuningModel, TuningSession,
+};
 use dvfs_ufs_tuning::rrl::{
-    ClusterScheduler, DriftConfig, DriftPolicy, MatchPolicy, ModelSource, OnlineConfig,
-    OnlineTuner, OnlineTuning, RuntimeError, TuningModelRepository,
+    ClusterReport, ClusterScheduler, DriftConfig, DriftPolicy, JobArrival, MatchPolicy,
+    ModelSource, OnlineConfig, OnlineTuner, OnlineTuning, RuntimeError, RuntimeSession,
+    ServiceConfig, TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, Node, SystemConfig};
 use kernels::BenchmarkSpec;
@@ -161,6 +164,83 @@ fn online_convergence_matches_design_time_on_random_stationary_workloads() {
     }
 }
 
+/// Replay every job of an online `report` alone, in submission order, on
+/// the node it ran on, and require every per-job field to be
+/// bit-identical to the multiplexed run. A job whose workload `solo_repo`
+/// cannot serve calibrates solo and publishes its converged model there,
+/// as the run's leader did; every other job monitors the model
+/// `solo_repo` serves. Drift re-publications are not replayed into
+/// `solo_repo`: in a t = 0 wave every follower is admitted before any of
+/// them finishes, so all of them were served the first publication.
+fn assert_online_jobs_match_solo_runs(
+    report: &ClusterReport,
+    cluster: &Cluster,
+    benches: &[&BenchmarkSpec],
+    strategy: &dyn SearchStrategy,
+    solo_repo: &mut TuningModelRepository,
+    tag: &str,
+) {
+    let config = OnlineConfig::default();
+    for outcome in &report.jobs {
+        let bench = *benches
+            .iter()
+            .find(|b| b.name == outcome.benchmark)
+            .expect("job runs a known benchmark");
+        let node = cluster
+            .iter()
+            .find(|n| n.id() == outcome.node_id)
+            .expect("placed on a cluster node");
+        let (solo, calibrated) = match solo_repo.serve_stored(bench).unwrap() {
+            Some(served) => {
+                let mut tuner = OnlineTuner::monitor(&outcome.job, bench, node, served, config)
+                    .expect("served model validates");
+                tuner.run_to_completion().unwrap();
+                (tuner.finish().unwrap(), false)
+            }
+            None => {
+                let mut tuner =
+                    OnlineTuner::calibrate(&outcome.job, bench, node, strategy, None, config)
+                        .expect("calibration starts");
+                tuner.run_to_completion().unwrap();
+                (tuner.finish().unwrap(), true)
+            }
+        };
+        let job = &outcome.job;
+        assert_eq!(
+            outcome.accounting.record, solo.accounting.record,
+            "{tag}: online accounting must be bit-identical for {job}"
+        );
+        assert_eq!(
+            outcome.accounting.regions, solo.accounting.regions,
+            "{tag}: {job}"
+        );
+        assert_eq!(
+            outcome.accounting.source, solo.accounting.source,
+            "{tag}: {job}"
+        );
+        assert_eq!(
+            outcome.accounting.online, solo.accounting.online,
+            "{tag}: {job}"
+        );
+        assert_eq!(outcome.drift, solo.drift_events, "{tag}: {job}");
+        assert_eq!(
+            outcome.published_version.is_some(),
+            solo.publication.is_some(),
+            "{tag}: {job} publishes alone iff it published in the run"
+        );
+        let solo_default =
+            RuntimeSession::static_run(job, bench, node, SystemConfig::taurus_default()).unwrap();
+        assert_eq!(
+            outcome.default, solo_default.record,
+            "{tag}: {job} baseline"
+        );
+        if calibrated {
+            let publication = solo.publication.expect("the solo calibration converges");
+            solo_repo.publish_online(bench, &publication.model, publication.expected);
+        }
+    }
+}
+
 #[test]
 fn interleaved_online_calibrations_are_bit_identical_to_solo_runs() {
     // Two jobs of *different* cold workloads calibrate concurrently,
@@ -185,38 +265,94 @@ fn interleaved_online_calibrations_are_bit_identical_to_solo_runs() {
     assert_eq!(report.online_summary().calibrations, 2);
     assert_eq!(report.online_summary().publications, 2);
 
-    for outcome in &report.jobs {
-        let bench = if outcome.benchmark == "miniMD" {
-            &minimd
-        } else {
-            &lulesh
-        };
-        let node = cluster
-            .iter()
-            .find(|n| n.id() == outcome.node_id)
-            .expect("placed on a cluster node");
-        let mut solo = OnlineTuner::calibrate(
-            &outcome.job,
-            bench,
-            node,
-            &strategy,
-            None,
-            OnlineConfig::default(),
-        )
-        .unwrap();
-        solo.run_to_completion().unwrap();
-        let solo_outcome = solo.finish().unwrap();
-        assert_eq!(
-            outcome.accounting.record, solo_outcome.accounting.record,
-            "interleaved calibration accounting must be bit-identical for {}",
-            outcome.job
-        );
-        assert_eq!(outcome.accounting.regions, solo_outcome.accounting.regions);
-        // And the published model is the same artefact.
-        let solo_publication = solo_outcome.publication.expect("solo converges too");
+    let mut solo_repo = TuningModelRepository::new();
+    assert_online_jobs_match_solo_runs(
+        &report,
+        &cluster,
+        &[&minimd, &lulesh],
+        &strategy,
+        &mut solo_repo,
+        "two cold workloads",
+    );
+    // And the published models are the same artefacts.
+    for bench in [&minimd, &lulesh] {
         let served = repo.serve(bench).expect("published model serves");
-        assert_eq!(served.model, solo_publication.model);
+        assert_eq!(served.model, solo_repo.serve(bench).unwrap().model);
         assert_eq!(served.source, ModelSource::Online);
+    }
+
+    // The same oracle through the calibrate-once admission gate, across
+    // 3 cluster seeds: a cold workload's first job calibrates, its
+    // same-workload followers wait and then hit the published model, and
+    // a stored workload's jobs monitor their design-time model — {8, 24}
+    // submitted jobs through `run`, and a 16-job zero-interarrival trace
+    // through `run_service`.
+    let strategy = RandomSearch::new(12, 3);
+    let online = OnlineTuning {
+        strategy: &strategy,
+        energy_model: None,
+        config: OnlineConfig::default(),
+    };
+    let cold = testkit::toy_benchmark("cold-toy", 2.5e10, 40);
+    let stored = testkit::toy_benchmark("stored-toy", 1.5e10, 10);
+    let stored_model = TuningModel::new(
+        "stored-toy",
+        &[("omp parallel:1".into(), SystemConfig::new(24, 2500, 1600))],
+        SystemConfig::new(24, 2500, 1600),
+    );
+    let stored_repo = || {
+        let mut repo = TuningModelRepository::new();
+        repo.insert(&stored, &stored_model);
+        repo
+    };
+    for seed in [0x5EED_u64, 0xBEEF, 0xC0FFEE] {
+        let cluster = Cluster::new(4, seed);
+        let queue = |prefix: &str, jobs: usize| -> Vec<JobArrival> {
+            (0..jobs)
+                .map(|i| {
+                    let bench = if i % 4 == 1 { &stored } else { &cold };
+                    JobArrival {
+                        name: format!("{prefix}{seed:x}-{i}"),
+                        bench: bench.clone(),
+                        arrival_s: 0.0,
+                    }
+                })
+                .collect()
+        };
+        let mut reports = Vec::new();
+        for jobs in [8usize, 24] {
+            let mut sched = ClusterScheduler::new(&cluster).unwrap().with_online(online);
+            for job in queue("o", jobs) {
+                sched.submit(job.name, job.bench);
+            }
+            let report = sched.run(&mut stored_repo()).unwrap();
+            reports.push((format!("run seed={seed:#x} jobs={jobs}"), report));
+        }
+        let report = ClusterScheduler::new(&cluster)
+            .unwrap()
+            .with_online(online)
+            .run_service(
+                queue("osvc", 16),
+                &mut stored_repo(),
+                &ServiceConfig::default(),
+            )
+            .unwrap();
+        reports.push((format!("run_service seed={seed:#x} jobs=16"), report));
+
+        for (tag, report) in &reports {
+            // Warm-up shape: exactly one calibration for the cold
+            // workload, everyone else hits (or monitors the stored one).
+            assert_eq!(report.online_summary().calibrations, 1, "{tag}");
+            assert_eq!(report.repository.misses, 1, "{tag}");
+            assert_online_jobs_match_solo_runs(
+                report,
+                &cluster,
+                &[&cold, &stored],
+                &strategy,
+                &mut stored_repo(),
+                tag,
+            );
+        }
     }
 }
 

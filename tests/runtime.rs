@@ -7,8 +7,8 @@
 use dvfs_ufs_tuning::kernels;
 use dvfs_ufs_tuning::ptf::{RandomSearch, TuningModel, TuningSession};
 use dvfs_ufs_tuning::rrl::{
-    ClusterReport, ClusterScheduler, ModelSource, OnlineConfig, OnlineTuning, Placement,
-    RuntimeError, RuntimeSession, Savings, SharedRepository, TuningModelRepository,
+    ClusterReport, ClusterScheduler, JobArrival, ModelSource, Placement, RuntimeError,
+    RuntimeSession, Savings, ServiceConfig, TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, Node, SystemConfig};
 use kernels::BenchmarkSpec;
@@ -82,6 +82,65 @@ fn per_region_breakdown_reconstructs_job_totals() {
     assert!(text.contains("CalcQForElems"), "{text}");
 }
 
+/// Replay every job of a multiplexed `report` alone on the node it ran
+/// on — its served model re-served from `solo_repo` (a repository with
+/// the run's initial contents), its own `RuntimeSession`, and a fresh
+/// default-configuration baseline — and require every per-job field to
+/// be bit-identical. Returns nothing; panics with `tag` and the job name
+/// on the first difference.
+fn assert_jobs_match_solo_runs(
+    report: &ClusterReport,
+    cluster: &Cluster,
+    benches: &[&BenchmarkSpec],
+    solo_repo: &mut TuningModelRepository,
+    tag: &str,
+) {
+    for outcome in &report.jobs {
+        let bench = benches
+            .iter()
+            .find(|b| b.name == outcome.benchmark)
+            .expect("job runs a known benchmark");
+        let node = cluster
+            .iter()
+            .find(|n| n.id() == outcome.node_id)
+            .expect("placed on a cluster node");
+        let served = solo_repo.serve(bench).unwrap();
+        let mut solo = RuntimeSession::start(&outcome.job, bench, node, served).unwrap();
+        solo.run_to_completion().unwrap();
+        let solo_acc = solo.finish().unwrap();
+        let solo_default =
+            RuntimeSession::static_run(&outcome.job, bench, node, SystemConfig::taurus_default())
+                .unwrap();
+        let solo_savings = Savings::between(&solo_default.record, &solo_acc.record);
+
+        assert_eq!(
+            outcome.accounting.record, solo_acc.record,
+            "{tag}: multiplexed accounting must be bit-identical for {}",
+            outcome.job
+        );
+        assert_eq!(outcome.accounting.regions, solo_acc.regions, "{tag}");
+        assert_eq!(outcome.accounting.switches, solo_acc.switches, "{tag}");
+        assert_eq!(outcome.accounting.source, solo_acc.source, "{tag}");
+        assert_eq!(outcome.default, solo_default.record, "{tag}: baseline");
+        assert_eq!(
+            outcome.savings, solo_savings,
+            "{tag}: per-job savings must be bit-identical for {}",
+            outcome.job
+        );
+    }
+}
+
+/// A zero-interarrival trace over `jobs`, in order.
+fn instant_trace(jobs: &[(String, BenchmarkSpec)]) -> Vec<JobArrival> {
+    jobs.iter()
+        .map(|(name, bench)| JobArrival {
+            name: name.clone(),
+            bench: bench.clone(),
+            arrival_s: 0.0,
+        })
+        .collect()
+}
+
 #[test]
 fn cluster_run_matches_single_job_sessions_bit_for_bit() {
     // The acceptance criterion: ≥ 8 concurrent jobs over ≥ 2 nodes, with
@@ -108,42 +167,14 @@ fn cluster_run_matches_single_job_sessions_bit_for_bit() {
     assert!(report.nodes_used >= 2, "jobs spread over several nodes");
     assert_eq!(report.repository.hits, 5);
     assert_eq!(report.repository.fallbacks, 3);
-
-    for outcome in &report.jobs {
-        let bench = if outcome.benchmark == "Lulesh" {
-            &lulesh
-        } else {
-            &minimd
-        };
-        let node = cluster
-            .iter()
-            .find(|n| n.id() == outcome.node_id)
-            .expect("placed on a cluster node");
-        // Re-serve from a fresh repository with identical contents and
-        // replay the job alone on the same node.
-        let (mut solo_repo, _) = repo_with_lulesh();
-        let served = solo_repo.serve(bench).unwrap();
-        let mut solo = RuntimeSession::start(&outcome.job, bench, node, served).unwrap();
-        solo.run_to_completion().unwrap();
-        let solo_acc = solo.finish().unwrap();
-        let solo_default =
-            RuntimeSession::static_run(&outcome.job, bench, node, SystemConfig::taurus_default())
-                .unwrap();
-        let solo_savings = Savings::between(&solo_default.record, &solo_acc.record);
-
-        assert_eq!(
-            outcome.accounting.record, solo_acc.record,
-            "multiplexed accounting must be bit-identical for {}",
-            outcome.job
-        );
-        assert_eq!(outcome.accounting.regions, solo_acc.regions);
-        assert_eq!(outcome.default, solo_default.record);
-        assert_eq!(
-            outcome.savings, solo_savings,
-            "per-job savings must be bit-identical for {}",
-            outcome.job
-        );
-    }
+    let (mut solo_repo, _) = repo_with_lulesh();
+    assert_jobs_match_solo_runs(
+        &report,
+        &cluster,
+        &[&lulesh, &minimd],
+        &mut solo_repo,
+        "lulesh/miniMD",
+    );
 
     // The tuned Lulesh jobs save energy; the aggregate is net positive.
     for outcome in report.jobs.iter().filter(|j| j.benchmark == "Lulesh") {
@@ -155,65 +186,11 @@ fn cluster_run_matches_single_job_sessions_bit_for_bit() {
         "aggregate CPU savings: {:?}",
         report.aggregate
     );
-}
 
-/// A one-region OpenMP toy workload (cheap enough for 256-job queues) —
-/// the shared [`kernels::toy_benchmark`] builder.
-fn toy_bench(name: &str, instr: f64, iterations: u32) -> BenchmarkSpec {
-    testkit::toy_benchmark(name, instr, iterations)
-}
-
-/// Every per-job field that must be bit-identical between the sequential
-/// and the parallel event loop, plus the (submission-ordered, therefore
-/// equally deterministic) floating-point totals.
-fn assert_reports_bit_identical(parallel: &ClusterReport, sequential: &ClusterReport, tag: &str) {
-    assert_eq!(parallel.jobs.len(), sequential.jobs.len(), "{tag}");
-    for (p, s) in parallel.jobs.iter().zip(&sequential.jobs) {
-        assert_eq!(p.job, s.job, "{tag}: submission order");
-        assert_eq!(p.node_id, s.node_id, "{tag}: placement");
-        assert_eq!(
-            p.accounting.record, s.accounting.record,
-            "{tag}: job {} record",
-            p.job
-        );
-        assert_eq!(
-            p.accounting.regions, s.accounting.regions,
-            "{tag}: {}",
-            p.job
-        );
-        assert_eq!(p.accounting.switches, s.accounting.switches, "{tag}");
-        assert_eq!(p.accounting.source, s.accounting.source, "{tag}");
-        assert_eq!(p.accounting.online, s.accounting.online, "{tag}");
-        assert_eq!(p.default, s.default, "{tag}: baseline");
-        assert_eq!(p.savings, s.savings, "{tag}: savings");
-        assert_eq!(p.published_version, s.published_version, "{tag}");
-        assert_eq!(p.drift, s.drift, "{tag}: drift events");
-    }
-    assert_eq!(parallel.total_tuned, sequential.total_tuned, "{tag}");
-    assert_eq!(parallel.total_default, sequential.total_default, "{tag}");
-    assert_eq!(parallel.aggregate, sequential.aggregate, "{tag}");
-    assert_eq!(parallel.nodes_used, sequential.nodes_used, "{tag}");
-    assert_eq!(
-        parallel.repository.hits, sequential.repository.hits,
-        "{tag}: hit counts"
-    );
-    assert_eq!(
-        parallel.repository.misses, sequential.repository.misses,
-        "{tag}"
-    );
-    assert_eq!(
-        parallel.repository.fallbacks, sequential.repository.fallbacks,
-        "{tag}"
-    );
-}
-
-/// The PR's correctness anchor as a property: for 3 cluster seeds ×
-/// queue sizes {8, 64, 256}, a mixed hit/fallback queue produces a
-/// bit-identical `ClusterReport` whether the scheduler runs on one
-/// thread over a `TuningModelRepository` or across worker threads over a
-/// `SharedRepository`.
-#[test]
-fn parallel_report_bit_identical_across_seeds_and_queue_sizes() {
+    // The same oracle across 3 cluster seeds and queue sizes, on a
+    // hit/fallback mix of cheap toy workloads: {8, 64, 256} submitted
+    // jobs through `run`, and {16, 256}-job zero-interarrival traces
+    // through `run_service` (the same kernel loop, timed).
     let fallback = taurus_fallback();
     let tuned = toy_bench("tuned-toy", 2e10, 12);
     let untuned = toy_bench("untuned-toy", 1.2e10, 9);
@@ -222,86 +199,73 @@ fn parallel_report_bit_identical_across_seeds_and_queue_sizes() {
         &[("omp parallel:1".into(), SystemConfig::new(24, 2500, 1500))],
         SystemConfig::new(24, 2500, 1500),
     );
-
+    let toy_repo = || {
+        let mut repo = TuningModelRepository::new().with_fallback(fallback);
+        repo.insert(&tuned, &toy_model);
+        repo
+    };
     for (round, seed) in [0x5EED_u64, 0xBEEF, 0xC0FFEE].into_iter().enumerate() {
         let cluster = Cluster::new(4 + round as u32, seed);
-        for jobs in [8usize, 64, 256] {
-            let submit = |sched: &mut ClusterScheduler<'_>| {
-                for i in 0..jobs {
+        let queue = |prefix: &str, jobs: usize| -> Vec<(String, BenchmarkSpec)> {
+            (0..jobs)
+                .map(|i| {
                     let bench = if i % 3 == 2 { &untuned } else { &tuned };
-                    sched.submit(format!("j{seed:x}-{i}"), bench.clone());
-                }
-            };
-
-            let mut repo = TuningModelRepository::new().with_fallback(fallback);
-            repo.insert(&tuned, &toy_model);
-            let mut seq = ClusterScheduler::new(&cluster).unwrap();
-            submit(&mut seq);
-            let sequential = seq.run(&mut repo).unwrap();
-
-            let shared = SharedRepository::new(8).with_fallback(fallback);
-            shared.insert(&tuned, &toy_model);
-            let mut par = ClusterScheduler::new(&cluster).unwrap();
-            submit(&mut par);
-            let workers = (jobs / 4).clamp(2, 8);
-            let parallel = par.run_parallel(&shared, workers).unwrap();
-
-            let tag = format!("seed={seed:#x} jobs={jobs} workers={workers}");
-            assert_reports_bit_identical(&parallel, &sequential, &tag);
+                    (format!("{prefix}{seed:x}-{i}"), bench.clone())
+                })
+                .collect()
+        };
+        let shape = |report: &ClusterReport, jobs: usize, tag: &str| {
+            let untuned_jobs = (jobs / 3) as u64;
+            assert_eq!(report.jobs.len(), jobs, "{tag}");
+            assert_eq!(report.repository.hits, jobs as u64 - untuned_jobs, "{tag}");
+            assert_eq!(report.repository.fallbacks, untuned_jobs, "{tag}");
+        };
+        for jobs in [8usize, 64, 256] {
+            let mut sched = ClusterScheduler::new(&cluster).unwrap();
+            for (name, bench) in queue("j", jobs) {
+                sched.submit(name, bench);
+            }
+            let report = sched.run(&mut toy_repo()).unwrap();
+            let tag = format!("run seed={seed:#x} jobs={jobs}");
+            shape(&report, jobs, &tag);
+            assert_jobs_match_solo_runs(
+                &report,
+                &cluster,
+                &[&tuned, &untuned],
+                &mut toy_repo(),
+                &tag,
+            );
+        }
+        for jobs in [16usize, 256] {
+            let trace = instant_trace(&queue("svc", jobs));
+            let report = ClusterScheduler::new(&cluster)
+                .unwrap()
+                .run_service(trace, &mut toy_repo(), &ServiceConfig::default())
+                .unwrap();
+            let tag = format!("run_service seed={seed:#x} jobs={jobs}");
+            shape(&report, jobs, &tag);
+            assert_jobs_match_solo_runs(
+                &report,
+                &cluster,
+                &[&tuned, &untuned],
+                &mut toy_repo(),
+                &tag,
+            );
+            let summary = report.service.as_ref().expect("service summary present");
+            assert!(summary.quiesced && summary.monotone, "{tag}: event core");
+            assert!(summary.makespan_s > 0.0, "{tag}");
+            assert!(summary.events as usize > jobs, "{tag}: events dispatched");
+            // The formatted report surfaces the percentile lines.
+            let text = report.format_report();
+            assert!(text.contains("latency p50/p95/p99"), "{text}");
         }
     }
 }
 
-/// The same property through the online-adaptation admission gate: a
-/// cold workload's first job calibrates (the latch leader), same-workload
-/// followers park on the latch and then hit the published model — and
-/// the whole report still matches the sequential run bit for bit.
-#[test]
-fn parallel_online_latch_bit_identical_across_seeds() {
-    let strategy = RandomSearch::new(12, 3);
-    let cold = toy_bench("cold-toy", 2.5e10, 40);
-    let stored = toy_bench("stored-toy", 1.5e10, 10);
-    let stored_model = TuningModel::new(
-        "stored-toy",
-        &[("omp parallel:1".into(), SystemConfig::new(24, 2500, 1600))],
-        SystemConfig::new(24, 2500, 1600),
-    );
-
-    for seed in [0x5EED_u64, 0xBEEF, 0xC0FFEE] {
-        let cluster = Cluster::new(4, seed);
-        let online = OnlineTuning {
-            strategy: &strategy,
-            energy_model: None,
-            config: OnlineConfig::default(),
-        };
-        for jobs in [8usize, 24] {
-            let submit = |sched: &mut ClusterScheduler<'_>| {
-                for i in 0..jobs {
-                    let bench = if i % 4 == 1 { &stored } else { &cold };
-                    sched.submit(format!("o{seed:x}-{i}"), bench.clone());
-                }
-            };
-
-            let mut repo = TuningModelRepository::new();
-            repo.insert(&stored, &stored_model);
-            let mut seq = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-            submit(&mut seq);
-            let sequential = seq.run(&mut repo).unwrap();
-
-            let shared = SharedRepository::new(4);
-            shared.insert(&stored, &stored_model);
-            let mut par = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-            submit(&mut par);
-            let parallel = par.run_parallel(&shared, 4).unwrap();
-
-            let tag = format!("online seed={seed:#x} jobs={jobs}");
-            assert_reports_bit_identical(&parallel, &sequential, &tag);
-            // Warm-up shape: exactly one calibration for the cold
-            // workload, everyone else hits (or monitors the stored one).
-            assert_eq!(parallel.online_summary().calibrations, 1, "{tag}");
-            assert_eq!(parallel.repository.misses, 1, "{tag}");
-        }
-    }
+/// A one-region OpenMP toy workload (cheap enough for 256-job queues) —
+/// the shared [`kernels::toy_benchmark`] builder.
+fn toy_bench(name: &str, instr: f64, iterations: u32) -> BenchmarkSpec {
+    testkit::toy_benchmark(name, instr, iterations)
 }
 
 #[test]

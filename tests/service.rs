@@ -1,6 +1,5 @@
 //! Integration tests for the discrete-event cluster service: the
-//! equivalence `run_service` ≡ `run_parallel` on zero-interarrival
-//! no-churn traces, the churn-shape guarantees
+//! per-run baseline memo, the churn-shape guarantees
 //! (drained/failed nodes' jobs are re-placed, never dropped; failures
 //! truncate running jobs at a phase boundary), and in-loop replication
 //! (gossip while serving, replica crash/restart catch-up, read-repair).
@@ -10,8 +9,7 @@ use dvfs_ufs_tuning::ptf::{RandomSearch, TuningModel};
 use dvfs_ufs_tuning::rrl::{
     ChurnEvent, ChurnKind, ClusterReport, ClusterScheduler, FaultInjector, GossipConfig,
     JobArrival, ModelSource, OnlineConfig, OnlineTuning, ReplicaChurnEvent, ReplicaChurnKind,
-    ReplicaConfig, ReplicaSet, RuntimeSession, ServiceConfig, SharedRepository,
-    TuningModelRepository,
+    ReplicaConfig, ReplicaSet, RuntimeSession, ServiceConfig, TuningModelRepository,
 };
 use dvfs_ufs_tuning::simnode::{Cluster, SystemConfig};
 use testkit::{taurus_fallback, toy_benchmark};
@@ -20,23 +18,11 @@ fn toy_bench(name: &str, instr: f64, iterations: u32) -> BenchmarkSpec {
     toy_benchmark(name, instr, iterations)
 }
 
-/// A zero-interarrival trace over the same (name, bench) pairs a submit
-/// loop would enqueue.
-fn instant_trace(jobs: &[(String, BenchmarkSpec)]) -> Vec<JobArrival> {
-    jobs.iter()
-        .map(|(name, bench)| JobArrival {
-            name: name.clone(),
-            bench: bench.clone(),
-            arrival_s: 0.0,
-        })
-        .collect()
-}
-
-/// Every per-job field that must be bit-identical between the service and
-/// the parallel loop, plus the submission-ordered floating-point totals.
-fn assert_reports_bit_identical(service: &ClusterReport, sweep: &ClusterReport, tag: &str) {
-    assert_eq!(service.jobs.len(), sweep.jobs.len(), "{tag}");
-    for (a, b) in service.jobs.iter().zip(&sweep.jobs) {
+/// Every per-job field that must be bit-identical between two runs of the
+/// same inputs, plus the submission-ordered floating-point totals.
+fn assert_reports_bit_identical(first: &ClusterReport, second: &ClusterReport, tag: &str) {
+    assert_eq!(first.jobs.len(), second.jobs.len(), "{tag}");
+    for (a, b) in first.jobs.iter().zip(&second.jobs) {
         assert_eq!(a.job, b.job, "{tag}: submission order");
         assert_eq!(a.node_id, b.node_id, "{tag}: placement of {}", a.job);
         assert_eq!(a.accounting.record, b.accounting.record, "{tag}: {}", a.job);
@@ -54,74 +40,16 @@ fn assert_reports_bit_identical(service: &ClusterReport, sweep: &ClusterReport, 
         assert_eq!(a.drift, b.drift, "{tag}: drift events");
         assert_eq!(a.aborted_at, b.aborted_at, "{tag}: {}", a.job);
     }
-    assert_eq!(service.total_tuned, sweep.total_tuned, "{tag}");
-    assert_eq!(service.total_default, sweep.total_default, "{tag}");
-    assert_eq!(service.aggregate, sweep.aggregate, "{tag}");
-    assert_eq!(service.nodes_used, sweep.nodes_used, "{tag}");
-    assert_eq!(service.repository.hits, sweep.repository.hits, "{tag}");
-    assert_eq!(service.repository.misses, sweep.repository.misses, "{tag}");
+    assert_eq!(first.total_tuned, second.total_tuned, "{tag}");
+    assert_eq!(first.total_default, second.total_default, "{tag}");
+    assert_eq!(first.aggregate, second.aggregate, "{tag}");
+    assert_eq!(first.nodes_used, second.nodes_used, "{tag}");
+    assert_eq!(first.repository.hits, second.repository.hits, "{tag}");
+    assert_eq!(first.repository.misses, second.repository.misses, "{tag}");
     assert_eq!(
-        service.repository.fallbacks, sweep.repository.fallbacks,
+        first.repository.fallbacks, second.repository.fallbacks,
         "{tag}"
     );
-}
-
-/// The correctness anchor: for 3 cluster seeds × trace sizes {16, 256},
-/// a zero-interarrival no-churn trace produces per-job results
-/// bit-identical to the parallel loop — the discrete-event kernel changes
-/// *when* things run, never *what* they compute.
-#[test]
-fn service_bit_identical_to_the_parallel_loop() {
-    let fallback = taurus_fallback();
-    let tuned = toy_bench("tuned-toy", 2e10, 12);
-    let untuned = toy_bench("untuned-toy", 1.2e10, 9);
-    let toy_model = TuningModel::new(
-        "tuned-toy",
-        &[("omp parallel:1".into(), SystemConfig::new(24, 2500, 1500))],
-        SystemConfig::new(24, 2500, 1500),
-    );
-
-    for (round, seed) in [0x5EED_u64, 0xBEEF, 0xC0FFEE].into_iter().enumerate() {
-        let cluster = Cluster::new(4 + round as u32, seed);
-        for jobs in [16usize, 256] {
-            let queue: Vec<(String, BenchmarkSpec)> = (0..jobs)
-                .map(|i| {
-                    let bench = if i % 3 == 2 { &untuned } else { &tuned };
-                    (format!("svc{seed:x}-{i}"), bench.clone())
-                })
-                .collect();
-
-            let shared = SharedRepository::new(8).with_fallback(fallback);
-            shared.insert(&tuned, &toy_model);
-            let mut par = ClusterScheduler::new(&cluster).unwrap();
-            for (name, bench) in &queue {
-                par.submit(name.clone(), bench.clone());
-            }
-            let parallel = par.run_parallel(&shared, 4).unwrap();
-
-            let mut svc_repo = TuningModelRepository::new().with_fallback(fallback);
-            svc_repo.insert(&tuned, &toy_model);
-            let mut svc = ClusterScheduler::new(&cluster).unwrap();
-            let service = svc
-                .run_service(
-                    instant_trace(&queue),
-                    &mut svc_repo,
-                    &ServiceConfig::default(),
-                )
-                .unwrap();
-
-            let tag = format!("seed={seed:#x} jobs={jobs}");
-            assert_reports_bit_identical(&service, &parallel, &format!("{tag} vs run_parallel"));
-
-            let summary = service.service.as_ref().expect("service summary present");
-            assert!(summary.quiesced && summary.monotone, "{tag}: event core");
-            assert!(summary.makespan_s > 0.0, "{tag}");
-            assert!(summary.events as usize > jobs, "{tag}: events dispatched");
-            // The formatted report surfaces the percentile lines.
-            let text = service.format_report();
-            assert!(text.contains("latency p50/p95/p99"), "{text}");
-        }
-    }
 }
 
 /// The service memoises each job's default-configuration baseline per
@@ -176,63 +104,6 @@ fn resubmitted_jobs_get_the_baselines_of_fresh_static_runs() {
         report.jobs[0].default.job_energy_j,
         report.jobs[1].default.job_energy_j
     );
-}
-
-/// The same equivalence through the online-adaptation admission gate:
-/// calibration leaders, parked same-workload waiters released at the
-/// leader's finish (latch followers in the parallel loop), and
-/// published-model hits all land identically.
-#[test]
-fn service_online_admission_bit_identical() {
-    let strategy = RandomSearch::new(12, 3);
-    let cold = toy_bench("cold-toy", 2.5e10, 40);
-    let stored = toy_bench("stored-toy", 1.5e10, 10);
-    let stored_model = TuningModel::new(
-        "stored-toy",
-        &[("omp parallel:1".into(), SystemConfig::new(24, 2500, 1600))],
-        SystemConfig::new(24, 2500, 1600),
-    );
-    let online = OnlineTuning {
-        strategy: &strategy,
-        energy_model: None,
-        config: OnlineConfig::default(),
-    };
-
-    for seed in [0x5EED_u64, 0xBEEF, 0xC0FFEE] {
-        let cluster = Cluster::new(4, seed);
-        let queue: Vec<(String, BenchmarkSpec)> = (0..16)
-            .map(|i| {
-                let bench = if i % 4 == 1 { &stored } else { &cold };
-                (format!("osvc{seed:x}-{i}"), bench.clone())
-            })
-            .collect();
-
-        let shared = SharedRepository::new(4);
-        shared.insert(&stored, &stored_model);
-        let mut par = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-        for (name, bench) in &queue {
-            par.submit(name.clone(), bench.clone());
-        }
-        let parallel = par.run_parallel(&shared, 3).unwrap();
-
-        let mut svc_repo = TuningModelRepository::new();
-        svc_repo.insert(&stored, &stored_model);
-        let mut svc = ClusterScheduler::new(&cluster).unwrap().with_online(online);
-        let service = svc
-            .run_service(
-                instant_trace(&queue),
-                &mut svc_repo,
-                &ServiceConfig::default(),
-            )
-            .unwrap();
-
-        let tag = format!("online seed={seed:#x}");
-        assert_reports_bit_identical(&service, &parallel, &tag);
-        // Warm-up shape survives the kernel: one calibration for the
-        // cold workload, everyone else hits or monitors.
-        assert_eq!(service.online_summary().calibrations, 1, "{tag}");
-        assert_eq!(service.repository.misses, 1, "{tag}");
-    }
 }
 
 /// A churn schedule for the shape tests.
